@@ -117,7 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise PreconditionError("edge process needs an edge seed, found vertices")
         run = percolate_edges_star if args.process == "star" else percolate_edges_linegraph
         trace = run(g, args.r, edges)
-        percolated = trace.final == g.edges
+        percolated = len(trace.final) == g.edge_count
     _emit(json.dumps(trace_to_jsonable(trace, percolated)) + "\n", args.out)
     return 0
 

@@ -16,10 +16,22 @@ given everything active after step i-1.
 With r = 0 every element qualifies immediately, so round 1 activates
 everything not already in the seed, even from an empty seed.
 
-Internally each process runs a work queue over remaining-threshold
-counters, batched per round, so total work is O(|V| + sum of degrees of
-activated elements) for the vertex process and the analogous bound for
-the edge processes.
+Edge seeds may hold (u, v) pairs, in either order, or edge ids
+(positions in ``g.edge_list()``).
+
+Internally all three processes run on one kernel over integer ids: a
+counter per vertex and a frontier of newly active elements.  Applying
+a frontier adds one to the counter of every vertex an element meets:
+the neighbors of a vertex, the two endpoints of an edge.  A vertex
+whose counter reaches r puts itself (vertex process) or its inactive
+edges (star process) into the next frontier; for the line process every
+touched endpoint tests its inactive edges against the sum of the two
+endpoint counters.  Elements are marked active when they join a
+frontier, so each joins at most once.  The vertex and star processes do
+O(|V| + sum of degrees of the activated elements) work; the line process
+also rescans the rows of the endpoints each round touched.  Sets of
+vertices or edge pairs are built only for an :class:`ActivationTrace`;
+``is_percolating_*`` just count the activated elements.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from typing import Iterable
 from bootperc.errors import FormatError, PreconditionError
 from bootperc.graphs import Edge, Graph, normalize_edge
 
-_INACTIVE, _SCHEDULED, _ACTIVE = 0, 1, 2
+_VERTEX, _STAR, _LINE = "vertex", "star", "line"
 
 
 @dataclass(frozen=True)
@@ -56,110 +68,136 @@ def _check_r(r: int) -> None:
         raise PreconditionError("threshold r must be nonnegative")
 
 
-def _check_vertex_seed(g: Graph, seed: Iterable[int]) -> frozenset[int]:
-    out = frozenset(seed)
-    for v in out:
-        if not 0 <= v < g.vertex_count:
-            raise PreconditionError(f"seed vertex {v} not in graph")
+def _vertex_ids(g: Graph, r: int, seed: Iterable[int]) -> list[int]:
+    _check_r(r)
+    out = list(seed)
+    if out and (min(out) < 0 or max(out) >= g.vertex_count):
+        bad = next(v for v in out if not 0 <= v < g.vertex_count)
+        raise PreconditionError(f"seed vertex {bad} not in graph")
     return out
 
 
-def _check_edge_seed(g: Graph, seed: Iterable[tuple[int, int]]) -> frozenset[Edge]:
-    out = frozenset(normalize_edge(u, v) for u, v in seed)
-    for e in out:
-        if e not in g.edges:
-            raise PreconditionError(f"seed edge {e} not in graph")
+def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
+    _check_r(r)
+    m = g.edge_count
+    out = []
+    for e in seed:
+        if isinstance(e, int):
+            if not 0 <= e < m:
+                raise PreconditionError(f"seed edge id {e} not in graph")
+            out.append(e)
+        else:
+            try:
+                out.append(g.edge_id(*e))
+            except KeyError:
+                raise PreconditionError(f"seed edge {normalize_edge(*e)} not in graph") from None
     return out
+
+
+def _closure(
+    g: Graph, r: int, process: str, seed: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """The kernel: (distinct seed ids, rounds of newly active ids) under ``process``."""
+    offsets, targets = g.offsets, g.targets
+    if process == _VERTEX:
+        active = bytearray(g.vertex_count)
+    else:
+        tails, heads, slot_edges = g.tails, g.heads, g.slot_edges
+        active = bytearray(g.edge_count)
+    start = []
+    for x in seed:
+        if not active[x]:
+            active[x] = 1
+            start.append(x)
+    if r == 0:
+        rest = [x for x in range(len(active)) if not active[x]]
+        return start, [rest] if rest else []
+    counts = [0] * g.vertex_count
+    rounds: list[list[int]] = []
+    frontier = start  # applied first without being a round
+    while frontier:
+        nxt = []
+        if process == _VERTEX:
+            for v in frontier:
+                for w in targets[offsets[v] : offsets[v + 1]]:
+                    counts[w] += 1
+                    if counts[w] == r and not active[w]:
+                        active[w] = 1
+                        nxt.append(w)
+        elif process == _STAR:
+            for e in frontier:
+                for x in (tails[e], heads[e]):
+                    counts[x] += 1
+                    if counts[x] == r:
+                        # x just reached r: every inactive edge at x is captured
+                        for f in slot_edges[offsets[x] : offsets[x + 1]]:
+                            if not active[f]:
+                                active[f] = 1
+                                nxt.append(f)
+        else:
+            touched = set()
+            for e in frontier:
+                for x in (tails[e], heads[e]):
+                    counts[x] += 1
+                    touched.add(x)
+            # only edges at a touched endpoint can newly meet the rule
+            for x in touched:
+                need = r - counts[x]
+                lo, hi = offsets[x], offsets[x + 1]
+                for w, f in zip(targets[lo:hi], slot_edges[lo:hi]):
+                    if not active[f] and counts[w] >= need:
+                        active[f] = 1
+                        nxt.append(f)
+        if nxt:
+            rounds.append(nxt)
+        frontier = nxt
+    return start, rounds
+
+
+def _activated(g: Graph, r: int, process: str, seed: list[int]) -> int:
+    start, rounds = _closure(g, r, process, seed)
+    return len(start) + sum(map(len, rounds))
+
+
+def _trace(start: Iterable, rounds: list[Iterable]) -> ActivationTrace:
+    seed = frozenset(start)
+    sets = tuple(frozenset(rd) for rd in rounds)
+    return ActivationTrace(seed, sets, seed.union(*sets))
+
+
+def _edge_trace(g: Graph, start: list[int], rounds: list[list[int]]) -> ActivationTrace:
+    tails, heads = g.tails, g.heads
+
+    def pair(e: int) -> Edge:
+        return (tails[e], heads[e])
+
+    return _trace(map(pair, start), [map(pair, rd) for rd in rounds])
 
 
 def percolate_vertices(g: Graph, r: int, seed: Iterable[int]) -> ActivationTrace:
     """Run the r-neighbor vertex process from ``seed`` to closure."""
-    _check_r(r)
-    seed_set = _check_vertex_seed(g, seed)
-    active = bytearray(g.vertex_count)
-    for v in seed_set:
-        active[v] = 1
-    counts = [0] * g.vertex_count
-    for v in seed_set:
-        for w in g.adjacency[v]:
-            counts[w] += 1
-    if r == 0:
-        frontier = [v for v in range(g.vertex_count) if not active[v]]
-    else:
-        frontier = [
-            v for v in range(g.vertex_count) if not active[v] and counts[v] >= r
-        ]
-    rounds: list[frozenset] = []
-    while frontier:
-        rounds.append(frozenset(frontier))
-        for v in frontier:
-            active[v] = 1
-        next_frontier: list[int] = []
-        for v in frontier:
-            for w in g.adjacency[v]:
-                counts[w] += 1
-                # counts[w] passes r exactly once, so w is queued exactly once
-                if counts[w] == r and not active[w]:
-                    next_frontier.append(w)
-        frontier = next_frontier
-    final = seed_set.union(*rounds) if rounds else seed_set
-    return ActivationTrace(seed_set, tuple(rounds), final)
+    return _trace(*_closure(g, r, _VERTEX, _vertex_ids(g, r, seed)))
 
 
 def is_percolating_vertices(g: Graph, r: int, seed: Iterable[int]) -> bool:
-    return len(percolate_vertices(g, r, seed).final) == g.vertex_count
+    return _activated(g, r, _VERTEX, _vertex_ids(g, r, seed)) == g.vertex_count
 
 
-def percolate_edges_star(g: Graph, r: int, seed: Iterable[tuple[int, int]]) -> ActivationTrace:
+def percolate_edges_star(g: Graph, r: int, seed: Iterable) -> ActivationTrace:
     """Run the star edge process from ``seed`` to closure.
 
     Activation rule: edge uv joins round i once, after round i-1, some
     endpoint carries at least r active edges.  Equivalently uv completes
     a star with r+1 edges whose other r edges are already active.
     """
-    _check_r(r)
-    seed_set = _check_edge_seed(g, seed)
-    state = {e: _INACTIVE for e in g.edges}
-    vcount = [0] * g.vertex_count
-    for u, v in seed_set:
-        state[(u, v)] = _ACTIVE
-        vcount[u] += 1
-        vcount[v] += 1
-    frontier: list[Edge] = []
-    for e in g.edge_list():
-        u, v = e
-        if state[e] == _INACTIVE and (r == 0 or vcount[u] >= r or vcount[v] >= r):
-            state[e] = _SCHEDULED
-            frontier.append(e)
-    rounds: list[frozenset] = []
-    while frontier:
-        rounds.append(frozenset(frontier))
-        for e in frontier:
-            state[e] = _ACTIVE
-        next_frontier: list[Edge] = []
-        for u, v in frontier:
-            for x in (u, v):
-                vcount[x] += 1
-                if vcount[x] == r:
-                    # x just reached the threshold: everything inactive at x
-                    # becomes activatable, and stays captured from here on
-                    for w in g.adjacency[x]:
-                        e2 = normalize_edge(x, w)
-                        if state[e2] == _INACTIVE:
-                            state[e2] = _SCHEDULED
-                            next_frontier.append(e2)
-        frontier = next_frontier
-    final = seed_set.union(*rounds) if rounds else seed_set
-    return ActivationTrace(seed_set, tuple(rounds), final)
+    return _edge_trace(g, *_closure(g, r, _STAR, _edge_ids(g, r, seed)))
 
 
-def is_percolating_edges_star(g: Graph, r: int, seed: Iterable[tuple[int, int]]) -> bool:
-    return percolate_edges_star(g, r, seed).final == g.edges
+def is_percolating_edges_star(g: Graph, r: int, seed: Iterable) -> bool:
+    return _activated(g, r, _STAR, _edge_ids(g, r, seed)) == g.edge_count
 
 
-def percolate_edges_linegraph(
-    g: Graph, r: int, seed: Iterable[tuple[int, int]]
-) -> ActivationTrace:
+def percolate_edges_linegraph(g: Graph, r: int, seed: Iterable) -> ActivationTrace:
     """Run the line-graph edge process from ``seed`` to closure.
 
     Activation rule: edge uv joins round i once the active edges meeting
@@ -167,46 +205,11 @@ def percolate_edges_linegraph(
     least r after round i-1.  Matches the vertex process on the line
     graph round for round.
     """
-    _check_r(r)
-    seed_set = _check_edge_seed(g, seed)
-    state = {e: _INACTIVE for e in g.edges}
-    vcount = [0] * g.vertex_count
-    for u, v in seed_set:
-        state[(u, v)] = _ACTIVE
-        vcount[u] += 1
-        vcount[v] += 1
-    frontier: list[Edge] = []
-    for e in g.edge_list():
-        u, v = e
-        if state[e] == _INACTIVE and vcount[u] + vcount[v] >= r:
-            state[e] = _SCHEDULED
-            frontier.append(e)
-    rounds: list[frozenset] = []
-    while frontier:
-        rounds.append(frozenset(frontier))
-        touched: set[int] = set()
-        for e in frontier:
-            state[e] = _ACTIVE
-        for u, v in frontier:
-            vcount[u] += 1
-            vcount[v] += 1
-            touched.add(u)
-            touched.add(v)
-        next_frontier: list[Edge] = []
-        # only edges at a touched endpoint can have newly met the rule
-        for x in sorted(touched):
-            for w in g.adjacency[x]:
-                e2 = normalize_edge(x, w)
-                if state[e2] == _INACTIVE and vcount[x] + vcount[w] >= r:
-                    state[e2] = _SCHEDULED
-                    next_frontier.append(e2)
-        frontier = next_frontier
-    final = seed_set.union(*rounds) if rounds else seed_set
-    return ActivationTrace(seed_set, tuple(rounds), final)
+    return _edge_trace(g, *_closure(g, r, _LINE, _edge_ids(g, r, seed)))
 
 
-def is_percolating_edges_line(g: Graph, r: int, seed: Iterable[tuple[int, int]]) -> bool:
-    return percolate_edges_linegraph(g, r, seed).final == g.edges
+def is_percolating_edges_line(g: Graph, r: int, seed: Iterable) -> bool:
+    return _activated(g, r, _LINE, _edge_ids(g, r, seed)) == g.edge_count
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +231,16 @@ def seed_from_text(text: str) -> tuple[frozenset[int], frozenset[Edge]]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
-            vertices.add(int(parts[1]))
-        elif parts[0] == "e" and len(parts) == 3:
-            edges.add(normalize_edge(int(parts[1]), int(parts[2])))
-        else:
+        if (parts[0], len(parts)) not in (("v", 2), ("e", 3)):
             raise FormatError(f"line {lineno}: expected 'v <i>' or 'e <u> <v>'")
+        try:
+            numbers = [int(x) for x in parts[1:]]
+        except ValueError:
+            raise FormatError(f"line {lineno}: expected integers in {line!r}") from None
+        if parts[0] == "v":
+            vertices.add(numbers[0])
+        else:
+            edges.add(normalize_edge(*numbers))
     return frozenset(vertices), frozenset(edges)
 
 

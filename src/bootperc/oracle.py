@@ -5,7 +5,8 @@ cardinality, enumerates candidate sets in lexicographic order, so the
 returned witness is reproducible.  Elements that provably can never be
 activated (degree too low for the threshold) are forced into every
 candidate, which is what makes instances like the 16-vertex Hamming
-graph feasible.
+graph feasible.  Edge searches enumerate edge ids, whose order is the
+lexicographic order of the edges, and report the witness as edge pairs.
 
 The budget is checked per cardinality level before enumerating it:
 a level whose subset count would push the total past the budget raises
@@ -102,6 +103,15 @@ def _search(
     raise AssertionError("the full element set always percolates")
 
 
+def _edge_search(
+    g: Graph, r: int, process: str, mandatory: list[int], max_engine_calls: int, jobs: int
+) -> SearchResult:
+    """Search over edge ids, whose order is the edges' lexicographic order."""
+    ids = _search(g, r, process, list(range(g.edge_count)), mandatory, max_engine_calls, jobs)
+    witness = tuple((g.tails[e], g.heads[e]) for e in ids.witness)
+    return SearchResult(ids.minimum, witness, ids.engine_calls)
+
+
 def min_percolating_vertices(
     g: Graph,
     r: int,
@@ -143,11 +153,11 @@ def min_percolating_edges_star(
     if g.edge_count > max_edges:
         raise ResourceLimitError(f"{g.edge_count} edges exceed the search cap {max_edges}")
     mandatory = [
-        (u, v)
-        for u, v in g.edge_list()
+        e
+        for e, (u, v) in enumerate(zip(g.tails, g.heads))
         if g.degree(u) - 1 < r and g.degree(v) - 1 < r
     ]
-    return _search(g, r, "star", g.edge_list(), mandatory, max_engine_calls, jobs)
+    return _edge_search(g, r, "star", mandatory, max_engine_calls, jobs)
 
 
 def min_percolating_edges_line(
@@ -167,8 +177,8 @@ def min_percolating_edges_line(
     if g.edge_count > max_edges:
         raise ResourceLimitError(f"{g.edge_count} edges exceed the search cap {max_edges}")
     mandatory = [
-        (u, v)
-        for u, v in g.edge_list()
+        e
+        for e, (u, v) in enumerate(zip(g.tails, g.heads))
         if (g.degree(u) - 1) + (g.degree(v) - 1) < r
     ]
-    return _search(g, r, "line", g.edge_list(), mandatory, max_engine_calls, jobs)
+    return _edge_search(g, r, "line", mandatory, max_engine_calls, jobs)

@@ -139,13 +139,12 @@ class EdgeColoring:
 
 def is_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
     """True iff incident edges always receive distinct colors."""
+    colors = [coloring.color(u, v) for u, v in zip(g.tails, g.heads)]  # by edge id
+    offsets, slot_edges = g.offsets, g.slot_edges
     for v in range(g.vertex_count):
-        seen = set()
-        for w in g.adjacency[v]:
-            c = Fraction(coloring.color(v, w))
-            if c in seen:
-                return False
-            seen.add(c)
+        row = slot_edges[offsets[v] : offsets[v + 1]]
+        if len({colors[e] for e in row}) < len(row):
+            return False
     return True
 
 
@@ -162,7 +161,7 @@ def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
         raise PreconditionError("need one generator per vertex")
     if len(set(gammas)) != len(gammas) or any(x == 0 for x in gammas):
         raise PreconditionError("generators must be distinct and nonzero")
-    colors = {(u, v): gammas[u] * gammas[v] for u, v in g.edges}
+    colors = {(u, v): gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)}
     coloring = EdgeColoring(colors, tuple(gammas) if all(isinstance(x, int) for x in gammas) else None)
     if not is_proper_coloring(g, coloring):
         raise AssertionError("product coloring failed the properness check")
@@ -193,7 +192,7 @@ def lift_coloring(g: Graph, coloring: EdgeColoring, n: int) -> EdgeColoring:
         limit = max(limit, _max_prime_factor(value))
     gammas = primes_above(limit, n)
     colors: dict[Edge, Fraction | int] = {}
-    for a, b in g.edges:
+    for a, b in zip(g.tails, g.heads):
         for j in range(n):
             colors[(a * n + j, b * n + j)] = coloring.colors[(a, b)]
     for i in range(g.vertex_count):
@@ -229,18 +228,17 @@ def _edge_generators(
     """
     edges = g.edge_list()
     ncols = g.vertex_count * r
-    powers = {}
+    powers = []  # by edge id
     for e in edges:
         lam = coloring.colors[e]
         row = [Fraction(1)]
         for _ in range(r - 1):
             row.append(row[-1] * lam)
-        powers[e] = row
+        powers.append(row)
     constraint: list[list[Fraction]] = []
-    for e in edges:
-        u, v = e
+    for (u, v), pows in zip(edges, powers):
         row = [Fraction(0)] * ncols
-        for k, p in enumerate(powers[e]):
+        for k, p in enumerate(pows):
             row[u * r + k] += p
             row[v * r + k] -= p
         constraint.append(row)
@@ -249,8 +247,8 @@ def _edge_generators(
     for vec in kernel:
         image.append(
             [
-                sum(vec[e[0] * r + k] * p for k, p in enumerate(powers[e]))
-                for e in edges
+                sum(vec[u * r + k] * p for k, p in enumerate(pows))
+                for (u, _), pows in zip(edges, powers)
             ]
         )
     return image, len(constraint), ncols

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,3 +192,46 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestRejectedInput:
+    """Bad files and oversized requests exit 1 with a JSON reason, no traceback."""
+
+    def run(self, argv, capsys):
+        started = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        return rc, json.loads(err), elapsed
+
+    def test_non_integer_token_in_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("p 2 1\ne 0 x\n")
+        rc, reason, _ = self.run(["search", str(path), "--r", "1", "--process", "vertex"], capsys)
+        assert rc == 1
+        assert reason["error"] == "FormatError"
+        assert "line 2" in reason["reason"]
+
+    def test_non_integer_token_in_seed_file(self, tmp_path, capsys):
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_text("v zz\n")
+        argv = ["simulate", "Kn:3", "--r", "1", "--seed", str(seed_path), "--process", "vertex"]
+        rc, reason, _ = self.run(argv, capsys)
+        assert rc == 1
+        assert reason["error"] == "FormatError"
+        assert "line 1" in reason["reason"]
+
+    def test_oversized_header(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("p 1000000000 0\n")
+        argv = ["search", str(path), "--r", "1", "--process", "vertex"]
+        rc, reason, elapsed = self.run(argv, capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert elapsed < 1.0
+
+    def test_oversized_hamming_family(self, capsys):
+        rc, reason, elapsed = self.run(["dimw", "Hamming:10,7", "--r", "2"], capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert elapsed < 1.0

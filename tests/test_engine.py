@@ -99,6 +99,12 @@ class TestStarProcess:
         with pytest.raises(PreconditionError):
             percolate_edges_star(make_complete(3), 1, [(0, 3)])
 
+    def test_seed_edge_ids_must_exist(self):
+        with pytest.raises(PreconditionError, match="edge id 3"):
+            percolate_edges_star(make_complete(3), 1, [3])
+        with pytest.raises(PreconditionError, match="edge id -1"):
+            is_percolating_edges_line(make_complete(3), 1, [-1])
+
 
 class TestLineProcess:
     def test_two_edge_seed_fills_k4(self):
@@ -295,6 +301,12 @@ class TestSeedFiles:
             seed_from_text("w 1\n")
         with pytest.raises(FormatError):
             seed_from_text("v 1 2\n")
+
+    def test_non_integer_token_names_its_line(self):
+        with pytest.raises(FormatError, match="line 2:"):
+            seed_from_text("v 1\nv zz\n")
+        with pytest.raises(FormatError, match="line 1:"):
+            seed_from_text("e 0 x\n")
 
     def test_trace_json_shape(self):
         k3 = make_complete(3)

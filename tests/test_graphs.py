@@ -1,9 +1,12 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
 from bootperc.graphs import (
+    DEFAULT_SLOT_CAP,
     Graph,
     HammingSpace,
     cartesian_product,
@@ -132,7 +135,7 @@ class TestHammingGraph:
 
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
-            make_hamming(HammingSpace(10, 8), vertex_cap=10**6)
+            make_hamming(HammingSpace(10, 8), slot_cap=10**6)
 
 
 class TestLineGraph:
@@ -191,4 +194,63 @@ class TestTextFormat:
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
+            graph_from_text(text)
+
+
+def rejected_cheaply(build):
+    """Run a build that the slot guard must refuse; return (seconds, peak bytes allocated)."""
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build()
+        return time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlotGuard:
+    def test_header_is_checked_before_anything_is_built(self):
+        seconds, peak = rejected_cheaply(lambda: graph_from_text("p 1000000000 0\n"))
+        assert seconds < 1.0
+        assert peak < 100_000
+
+    def test_hamming_10_7_is_rejected_on_its_edges(self):
+        # 10^7 vertices pass a vertex cap, but 3.15e8 edges would not fit
+        seconds, peak = rejected_cheaply(lambda: make_hamming(HammingSpace(10, 7)))
+        assert seconds < 1.0
+        assert peak < 100_000
+
+    def test_huge_dimension_never_computes_n_to_the_d(self):
+        seconds, _ = rejected_cheaply(lambda: make_hamming(HammingSpace(2, 10**9)))
+        assert seconds < 1.0
+        assert make_hamming(HammingSpace(1, 10**9)).vertex_count == 1
+
+    def test_every_builder_is_guarded(self):
+        with pytest.raises(ResourceLimitError):
+            make_complete(5000)  # 5000 + 2*12497500 slots
+        big = make_hamming(HammingSpace(50, 2))  # 2500 + 2*122500 slots
+        with pytest.raises(ResourceLimitError):
+            cartesian_product(big, big)
+        with pytest.raises(ResourceLimitError):
+            make_line_graph(make_complete(1000))  # 499500 vertices, ~5e8 edges
+        with pytest.raises(ResourceLimitError):
+            Graph.from_edges(DEFAULT_SLOT_CAP + 1, [])
+
+    def test_cap_leaves_the_largest_benchmarked_graph(self):
+        n, d = 12, 5  # 248832 vertices, 6842880 edges
+        assert n**d + n**d * d * (n - 1) <= DEFAULT_SLOT_CAP
+
+    def test_negative_header_is_a_format_error(self):
+        with pytest.raises(FormatError, match="line 1"):
+            graph_from_text("p -3 0\n")
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "text,line",
+        [("p 2 1\ne 0 x\n", 2), ("p two 1\n", 1), ("# c\np 2 1\ne 0.5 1\n", 3)],
+    )
+    def test_non_integer_token_names_its_line(self, text, line):
+        with pytest.raises(FormatError, match=f"line {line}:"):
             graph_from_text(text)
