@@ -3,7 +3,7 @@
 Percolation engines for the r-neighbor vertex process, the star edge
 process and the line-graph edge process; the explicit minimum or
 near-minimum seed constructions for those processes; their closed-form
-sizes and sandwich bounds; an exact-rational computation of the
+sizes and sandwich bounds; an exact integer-rank computation of the
 recognized-polynomial lower bound; and a brute-force oracle that
 cross-validates everything on tiny instances.
 """
@@ -71,7 +71,6 @@ from bootperc.polymethod import (
     product_coloring_on,
     recognized_space_dim,
     recognized_space_dim_hamming,
-    recognized_space_generators,
     recognized_space_report,
 )
 
@@ -121,7 +120,6 @@ __all__ = [
     "product_coloring_on",
     "recognized_space_dim",
     "recognized_space_dim_hamming",
-    "recognized_space_generators",
     "recognized_space_report",
     "reflect_region",
     "seed_from_text",

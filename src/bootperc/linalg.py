@@ -1,108 +1,96 @@
-"""Dense exact-rational matrices: rank, reduced row echelon form, nullspace.
+"""Exact integer rank of a sparse rational matrix.
 
-Matrices are lists of equal-length rows of Fractions (ints are
-coerced).  Everything is exact; Fraction normalizes through gcd after
-every operation, so intermediate entries stay reduced.
+The polymethod needs one number from linear algebra: the rank of its
+constraint matrix C, since the recognized-space dimension is
+Σ_v min(deg v, r) − rank(C) (see ``bootperc.polymethod``).  C has two
+blocks of r nonzeros per row, so ``mat_rank`` works on sparse rows.
+
+Each row is scaled to integers by the lcm of its denominators and kept
+primitive (its gcd content divided out).  Elimination is fraction-free:
+a row with entry a in the pivot column becomes (p/g)·row − (a/g)·pivot,
+with p the pivot entry and g = gcd(a, p), so every entry stays an exact
+Python int.  Only the rows holding a nonzero in the pivot column are
+touched; a column index finds them.  No float and no modular shortcut
+is involved, so the answer is the rank over the rationals.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
 
-Row = list[Fraction]
-Matrix = list[Row]
-
-
-def _copy(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+Number = int | Fraction
+SparseRow = dict[int, int]
 
 
-def mat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank by Gaussian elimination with full pivoting.
+def _integer_row(row: Sequence[Number] | Mapping[int, Number]) -> SparseRow:
+    """The nonzeros of ``row`` as a primitive integer row {column: entry}."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    out = {j: x for j, x in items if x}
+    if not out:
+        return out
+    if not all(type(x) is int for x in out.values()):
+        exact = {j: Fraction(x) for j, x in out.items()}
+        scale = lcm(*(x.denominator for x in exact.values()))
+        out = {j: x.numerator * (scale // x.denominator) for j, x in exact.items()}
+    content = gcd(*out.values())
+    if content > 1:
+        out = {j: x // content for j, x in out.items()}
+    return out
 
-    The pivot is the largest-magnitude entry of the remaining submatrix;
-    row and column swaps do not change the rank.
+
+def mat_rank(rows: Iterable[Sequence[Number] | Mapping[int, Number]]) -> int:
+    """Rank over the rationals of a matrix given by its rows.
+
+    A row is either a dense sequence or a sparse mapping from column
+    index to entry; entries are ints or Fractions.  Columns are
+    eliminated in increasing order.  The pivot for a column is the
+    shortest row holding it, ties going to the smaller pivot entry,
+    which keeps fill-in and entry growth down.
     """
-    m = _copy(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    active: dict[int, SparseRow] = {}
+    holders_of: dict[int, set[int]] = {}  # column -> active rows nonzero there
+    for i, row in enumerate(rows):
+        row = _integer_row(row)
+        if row:
+            active[i] = row
+            for j in row:
+                holders_of.setdefault(j, set()).add(i)
     rank = 0
-    while rank < nrows and rank < ncols:
-        best, bi, bj = Fraction(0), -1, -1
-        for i in range(rank, nrows):
-            for j in range(rank, ncols):
-                if abs(m[i][j]) > best:
-                    best, bi, bj = abs(m[i][j]), i, j
-        if bi < 0:
-            break
-        m[rank], m[bi] = m[bi], m[rank]
-        if bj != rank:
-            for row in m:
-                row[rank], row[bj] = row[bj], row[rank]
-        pivot = m[rank][rank]
-        for i in range(rank + 1, nrows):
-            factor = m[i][rank] / pivot
-            if factor:
-                for j in range(rank, ncols):
-                    m[i][j] -= factor * m[rank][j]
-        rank += 1
-    return rank
-
-
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = _copy(rows)
-    if not m or not m[0]:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        best, bi = Fraction(0), -1
-        for i in range(pr, nrows):
-            if abs(m[i][pc]) > best:
-                best, bi = abs(m[i][pc]), i
-        if bi < 0:
+    for c in sorted(holders_of):
+        holders = holders_of.pop(c)
+        if not holders:
             continue
-        m[pr], m[bi] = m[bi], m[pr]
-        pivot = m[pr][pc]
-        m[pr] = [x / pivot for x in m[pr]]
-        for i in range(nrows):
-            if i != pr and m[i][pc]:
-                factor = m[i][pc]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return m, pivots
-
-
-def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]:
-    """Basis of the right nullspace of a matrix with ``ncols`` columns.
-
-    ``rows`` may be empty, in which case the basis is the standard one.
-    One basis vector per free column, in ascending free-column order.
-    """
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("row length does not match ncols")
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -reduced[row_idx][j]
-        basis.append(v)
-    return basis
+        pi = min(holders, key=lambda i: (len(active[i]), abs(active[i][c]).bit_length(), i))
+        pivot = active.pop(pi)
+        p = pivot.pop(c)
+        for j in pivot:
+            holders_of[j].discard(pi)
+        rank += 1
+        holders.discard(pi)
+        for i in holders:
+            row = active[i]
+            a = row.pop(c)
+            g = gcd(a, p)
+            keep, take = p // g, a // g
+            if keep != 1:
+                for j in row:
+                    row[j] *= keep
+            for j, x in pivot.items():
+                y = row.get(j, 0) - take * x
+                if y:
+                    if j not in row:
+                        holders_of[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    holders_of[j].discard(i)
+            if not row:
+                del active[i]
+                continue
+            content = gcd(*row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
+    return rank

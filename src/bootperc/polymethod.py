@@ -4,13 +4,16 @@ An edge function phi is *recognized* by per-vertex polynomials {P_v} of
 degree at most r-1 when P_u(c(uv)) = P_v(c(uv)) = phi(uv) for every
 edge, where c is a proper edge coloring.  The recognized functions form
 a vector space whose dimension lower-bounds the minimum star-process
-seed size, and with rational colors that dimension is an exact rank
-computation:
+seed size.  With r coefficients per vertex as the variables, C the
+constraint matrix (one row P_u(c) - P_v(c) per edge uv) and E the
+evaluation matrix (one row P_u(c) per edge), the space is E(ker C) and
 
-    variables   = r coefficients per vertex,
-    constraints = P_u(c(uv)) - P_v(c(uv)) = 0 per edge,
-    dimension   = rank of the edge-evaluation map on the constraint
-                  kernel.
+    dim = rank[C;E] - rank(C) = sum over vertices v of min(deg v, r) - rank(C).
+
+The first equality is rank-nullity on ker C; the second holds because
+each vertex contributes a Vandermonde block on the distinct colors of
+its edges (proof in ``recognized_space_report``).  So the whole report
+is one exact integer rank, of C, computed by ``bootperc.linalg``.
 
 Colorings here are product-form: vertex generators gamma_i are primes
 and c(ij) = gamma_i * gamma_j.  Primes make every needed distinctness
@@ -27,7 +30,7 @@ from math import comb
 
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Edge, Graph, cartesian_product, make_complete, normalize_edge
-from bootperc.linalg import mat_rank, nullspace
+from bootperc.linalg import mat_rank
 
 Poly = tuple[Fraction, ...]
 
@@ -217,67 +220,94 @@ class DimReport:
     kernel_dim: int
 
 
-def _edge_generators(
-    g: Graph, coloring: EdgeColoring, r: int
-) -> tuple[list[list[Fraction]], int, int]:
-    """Spanning vectors of the recognized space plus constraint-matrix shape.
+# Cap on the estimated cost E * (V*r)^2 of ranking C (see _check_cost).
+DEFAULT_COST_CAP = 10**9
 
-    Returns (rows, constraint_rows, constraint_cols) where each row
-    lists the recognized function's values along ``g.edge_list()``, one
-    row per kernel basis vector.
+
+def _check_cost(vertices: int, edges: int, r: int, cost_cap: int) -> None:
+    """Refuse, before any row is built, a rank whose estimated cost exceeds the cap.
+
+    C has E = ``edges`` rows and V*r columns, and its rank is at most
+    V*r, so elimination touches at most E * (V*r)^2 cells.  Measured on
+    2 cores with Python 3.11 under the prime product coloring (runs of
+    0.05 s or more), each unit of that estimate took 8-20 ns on complete
+    graphs and 0.1-33 ns on Hamming and line graphs, so the default cap
+    of 10^9 stops runs of more than about half a minute.  Entry growth makes Hamming graphs
+    with r >= n the exception: H(5,3) with r = 6 took 130 ns per unit.
+    Lifted colorings took 0.02-4.6 ns per unit; larger lifts than the
+    default admits can pass a larger ``cost_cap``.
     """
-    edges = g.edge_list()
-    ncols = g.vertex_count * r
-    powers = []  # by edge id
-    for e in edges:
-        lam = coloring.colors[e]
-        row = [Fraction(1)]
-        for _ in range(r - 1):
-            row.append(row[-1] * lam)
-        powers.append(row)
-    constraint: list[list[Fraction]] = []
-    for (u, v), pows in zip(edges, powers):
-        row = [Fraction(0)] * ncols
-        for k, p in enumerate(pows):
-            row[u * r + k] += p
-            row[v * r + k] -= p
-        constraint.append(row)
-    kernel = nullspace(constraint, ncols)
-    image = []
-    for vec in kernel:
-        image.append(
-            [
-                sum(vec[u * r + k] * p for k, p in enumerate(pows))
-                for (u, _), pows in zip(edges, powers)
-            ]
+    cost = edges * (vertices * r) ** 2
+    if cost > cost_cap:
+        raise ResourceLimitError(
+            f"ranking the constraints of {vertices} vertices, {edges} edges and r={r}"
+            f" has estimated cost E*(V*r)^2 = {cost}, over the cap {cost_cap}"
         )
-    return image, len(constraint), ncols
 
 
-def recognized_space_generators(
-    g: Graph, coloring: EdgeColoring, r: int
-) -> list[list[Fraction]]:
-    """Vectors spanning the recognized space, aligned with ``g.edge_list()``."""
-    if r <= 0:
-        return []
-    if not is_proper_coloring(g, coloring):
-        raise PreconditionError("coloring is not proper")
-    return _edge_generators(g, coloring, r)[0]
+def _constraint_rows(g: Graph, coloring: EdgeColoring, r: int) -> list[dict[int, int]]:
+    """C as sparse integer rows: P_u(c) - P_v(c) for each edge uv, by edge id.
+
+    Column k*|V| + u holds the coefficient of x^k in P_u.  A color a/b
+    contributes c^k scaled by b^(r-1), that is a^k * b^(r-1-k), so the
+    row is integral; ints have denominator 1.  ``mat_rank`` eliminates
+    columns in increasing order, so the constant terms go first: they
+    form the graph's signed incidence matrix, whose unit pivots add no
+    entry growth, and this about halves the elimination time on Hamming
+    graphs.
+    """
+    n = g.vertex_count
+    rows = []
+    for u, v in zip(g.tails, g.heads):
+        lam = coloring.colors[(u, v)]
+        a, b = lam.numerator, lam.denominator
+        row = {}
+        for k in range(r):
+            x = a**k * b ** (r - 1 - k)
+            row[k * n + u] = x
+            row[k * n + v] = -x
+        rows.append(row)
+    return rows
 
 
-def recognized_space_report(g: Graph, coloring: EdgeColoring, r: int) -> DimReport:
+def recognized_space_report(
+    g: Graph, coloring: EdgeColoring, r: int, cost_cap: int = DEFAULT_COST_CAP
+) -> DimReport:
     """Dimension of the recognized edge-function space, with rank details.
 
-    For r <= 0 the space is {0} by convention.  Works in two exact
-    stages: a basis of the constraint kernel, then the rank of its
-    image under edge evaluation.
+    For r <= 0 the space is {0} by convention.  With ``ncols`` = r per
+    vertex, C the constraint matrix (one row P_u(c) - P_v(c) per edge
+    uv) and E the evaluation matrix (one row P_u(c) per edge):
+
+      kernel_dim = ncols - rank(C),
+      dim        = rank[C;E] - rank(C),
+      rank[C;E]  = sum over vertices v of min(deg v, r).
+
+    The second line holds because the recognized space is the image of
+    ker C under E, and dim E(ker C) = dim ker C - dim(ker C ∩ ker E)
+    = (ncols - rank C) - (ncols - rank[C;E]).
+
+    For the third, [C;E] has the same row space as the rows P_u(c) and
+    P_v(c) taken separately, since P_v(c) = P_u(c) - (P_u(c) - P_v(c)).
+    Each of those rows lives in the r columns of one vertex, and the
+    rows in v's columns are (1, c, ..., c^(r-1)) for the colors c of the
+    edges at v.  The coloring is proper, so those colors are distinct,
+    and a Vandermonde matrix on deg v distinct nodes with r columns has
+    rank min(deg v, r).  Disjoint blocks add their ranks.
+
+    So one exact rank, of C, gives the whole report.  The cost guard is
+    checked before any row is built.
     """
     if r <= 0:
         return DimReport(0, 0, 0, 0)
+    _check_cost(g.vertex_count, g.edge_count, r, cost_cap)
     if not is_proper_coloring(g, coloring):
         raise PreconditionError("coloring is not proper")
-    image, nrows, ncols = _edge_generators(g, coloring, r)
-    return DimReport(mat_rank(image), nrows, ncols, len(image))
+    ncols = g.vertex_count * r
+    offsets = g.offsets
+    stacked_rank = sum(min(offsets[v + 1] - offsets[v], r) for v in range(g.vertex_count))
+    rank = mat_rank(_constraint_rows(g, coloring, r))
+    return DimReport(stacked_rank - rank, g.edge_count, ncols, ncols - rank)
 
 
 def recognized_space_dim(g: Graph, coloring: EdgeColoring, r: int) -> int:
@@ -285,28 +315,29 @@ def recognized_space_dim(g: Graph, coloring: EdgeColoring, r: int) -> int:
 
 
 def recognized_space_dim_hamming(
-    n: int, r: int, d: int, variable_cap: int = 4000
+    n: int, r: int, d: int, cost_cap: int = DEFAULT_COST_CAP
 ) -> int:
     """Recognized-space dimension on the Hamming graph with the lifted coloring.
 
     Builds the d-fold product of the complete graph together with the
     iterated lift of the prime product coloring and computes the
-    dimension; for n >= r+1 the result equals C(d+r, d+1).
+    dimension; for n >= r+1 the result equals C(d+r, d+1).  The cost
+    guard is checked from (n, d) before the product is built.
     """
     if d < 1 or r < 1:
         raise PreconditionError("need d >= 1 and r >= 1")
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
-    if n**d * r > variable_cap:
-        raise ResourceLimitError(
-            f"{n**d * r} polynomial coefficients exceed the cap {variable_cap}"
-        )
+    vertices = 1
+    for dim in range(1, d + 1):  # H(n, dim) costs no more than H(n, d): stop before n**d grows
+        vertices *= n
+        _check_cost(vertices, vertices * dim * (n - 1) // 2, r, cost_cap)
     g = make_complete(n)
     coloring = product_coloring(n)
     for _ in range(d - 1):
         coloring = lift_coloring(g, coloring, n)
         g = cartesian_product(g, make_complete(n))
-    return recognized_space_dim(g, coloring, r)
+    return recognized_space_report(g, coloring, r, cost_cap).dim
 
 
 # ---------------------------------------------------------------------------

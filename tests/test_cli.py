@@ -235,3 +235,10 @@ class TestRejectedInput:
         assert rc == 1
         assert reason["error"] == "ResourceLimitError"
         assert elapsed < 1.0
+
+    def test_oversized_dimw_instance(self, capsys):
+        # E*(V*r)^2 = 4950 * 1000^2, far over the rank-cost cap
+        rc, reason, elapsed = self.run(["dimw", "Kn:100", "--r", "10"], capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert elapsed < 1.0

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bootperc.linalg import mat_rank, nullspace, rref
+import reference_linalg as ref
+from bootperc.linalg import mat_rank
 
 
 def random_matrix(rng, max_dim=6):
@@ -51,10 +54,53 @@ class TestRank:
             assert mat_rank(m) == mat_rank(t)
 
 
+entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices with zero rows and repeated (or scaled) rows mixed in."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    extras = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), entries), max_size=3))
+    for kind, index, factor in extras:
+        if kind == 0:
+            rows.append([Fraction(0)] * cols)
+        elif kind == 1:
+            rows.append(list(rows[index % len(rows)]))
+        else:
+            rows.append([factor * x for x in rows[index % len(rows)]])
+    return draw(st.permutations(rows))
+
+
+class TestRankAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_matches_fraction_rank(self, m):
+        assert mat_rank(m) == ref.mat_rank(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_matrices())
+    def test_sparse_rows_match_dense_rows(self, m):
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+        assert mat_rank(sparse) == mat_rank(m)
+
+    def test_integer_and_fraction_entries_mix(self):
+        assert mat_rank([[1, Fraction(1, 2)], [2, 1], {1: Fraction(-3, 7)}]) == 2
+
+    def test_entries_beyond_machine_words(self):
+        big = 2**200 + 1
+        assert mat_rank([[big, big + 1], [big * 3, big * 3 + 3]]) == 1
+        assert mat_rank([[big, big + 1], [big * 3, big * 3 + 2]]) == 2
+
+
+# rref and nullspace survive only in the test-only reference, where the
+# old two-stage dimension the polymethod is compared against uses them.
 class TestRref:
     def test_pivot_columns(self):
         m = [[0, 1, 2], [0, 2, 4]]
-        reduced, pivots = rref(m)
+        reduced, pivots = ref.rref(m)
         assert pivots == [1]
         assert reduced[0] == [Fraction(0), Fraction(1), Fraction(2)]
 
@@ -62,7 +108,7 @@ class TestRref:
         rng = random.Random(8)
         for _ in range(20):
             m = random_matrix(rng)
-            reduced, pivots = rref(m)
+            reduced, pivots = ref.rref(m)
             for row_idx, pc in enumerate(pivots):
                 assert reduced[row_idx][pc] == 1
                 for other in range(len(m)):
@@ -76,7 +122,7 @@ class TestNullspace:
         for _ in range(40):
             m = random_matrix(rng)
             cols = len(m[0])
-            basis = nullspace(m, cols)
+            basis = ref.nullspace(m, cols)
             assert len(basis) == cols - mat_rank(m)
             for vec in basis:
                 for row in m:
@@ -85,7 +131,7 @@ class TestNullspace:
             assert mat_rank(basis) == len(basis)
 
     def test_no_rows_gives_standard_basis(self):
-        basis = nullspace([], 3)
+        basis = ref.nullspace([], 3)
         assert basis == [
             [Fraction(1), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(1), Fraction(0)],
@@ -94,4 +140,4 @@ class TestNullspace:
 
     def test_rejects_ragged_input(self):
         with pytest.raises(ValueError):
-            nullspace([[1, 2]], 3)
+            ref.nullspace([[1, 2]], 3)

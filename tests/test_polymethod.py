@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,7 +21,6 @@ from bootperc.polymethod import (
     product_coloring_on,
     recognized_space_dim,
     recognized_space_dim_hamming,
-    recognized_space_generators,
     recognized_space_report,
     witness_value_matrix,
 )
@@ -115,6 +115,12 @@ class TestRecognizedSpaceDim:
         assert report.constraint_cols == 12
         assert report.kernel_dim >= report.dim
 
+    def test_cost_guard_is_edges_times_columns_squared(self):
+        g, c = make_complete(4), product_coloring(4)
+        assert recognized_space_report(g, c, 3, cost_cap=6 * 12**2).dim == 6
+        with pytest.raises(ResourceLimitError):
+            recognized_space_report(g, c, 3, cost_cap=6 * 12**2 - 1)
+
     def test_rejects_improper_coloring(self):
         bad = EdgeColoring({(0, 1): 4, (0, 2): 4, (1, 2): 9})
         with pytest.raises(PreconditionError):
@@ -149,9 +155,15 @@ class TestHammingDimension:
         for n, r, d in [(3, 2, 2), (4, 1, 2), (3, 1, 3)]:
             assert recognized_space_dim_hamming(n, r, d) == comb(d + r, d + 1)
 
+    @pytest.mark.parametrize("n,r", [(4, 3), (5, 3)])
+    def test_three_dimensional_rows_within_ten_seconds(self, n, r):
+        started = time.perf_counter()
+        assert recognized_space_dim_hamming(n, r, 3) == comb(3 + r, 3 + 1)
+        assert time.perf_counter() - started < 10.0
+
     def test_variable_cap(self):
         with pytest.raises(ResourceLimitError):
-            recognized_space_dim_hamming(4, 2, 2, variable_cap=10)
+            recognized_space_dim_hamming(4, 2, 2, cost_cap=10)
 
     def test_rejects_unproven_range(self):
         with pytest.raises(PreconditionError):
@@ -193,11 +205,11 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("n,r", [(4, 2), (5, 3), (5, 4)])
     def test_witnesses_live_inside_the_recognized_space(self, n, r):
+        # test_recognition_on_every_edge shows each witness is recognized;
+        # spanning as many dimensions as the space has, they span it.
         g = make_complete(n)
-        generators = recognized_space_generators(g, product_coloring(n), r)
-        base_rank = mat_rank(generators)
-        stacked = generators + witness_value_matrix(complete_graph_witnesses(n, r), g)
-        assert mat_rank(stacked) == base_rank
+        rank = mat_rank(witness_value_matrix(complete_graph_witnesses(n, r), g))
+        assert rank == recognized_space_dim(g, product_coloring(n), r) == comb(r + 1, 2)
 
     def test_rejects_unproven_range(self):
         with pytest.raises(PreconditionError):
