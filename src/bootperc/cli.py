@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -182,7 +183,8 @@ def _decimal(x: Fraction) -> str:
 def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
     payloads = [(d, r, n if n is not None else r + 1) for r in range(1, rmax + 1)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1, len(payloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_table_row, payloads))
     return [_table_row(p) for p in payloads]
 

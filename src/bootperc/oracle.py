@@ -1,12 +1,53 @@
 """Exhaustive ground truth for minimum percolating seeds on tiny graphs.
 
 Each search ascends through seed cardinalities and, within a
-cardinality, enumerates candidate sets in lexicographic order, so the
-returned witness is reproducible.  Elements that provably can never be
-activated (degree too low for the threshold) are forced into every
-candidate, which is what makes instances like the 16-vertex Hamming
-graph feasible.  Edge searches enumerate edge ids, whose order is the
-lexicographic order of the edges, and report the witness as edge pairs.
+cardinality, decides candidate sets in lexicographic order, so the
+returned witness is the lexicographically least percolating set of the
+least size.  Elements that provably can never be activated (degree too
+low for the threshold) are forced into every candidate, which is what
+makes instances like the 16-vertex Hamming graph feasible.  Edge
+searches run over edge ids, whose order is the lexicographic order of
+the edges, and report the witness as edge pairs.
+
+Sets of elements are Python ints, bit i standing for vertex or edge id
+i.  Each process is a list of rules (count mask, gain mask), read off
+the CSR rows; a rule fires on an active set A when
+``(count & A).bit_count() >= r`` and then adds its gain to A:
+
+* vertex process: (N(v), {v}) for every vertex v;
+* star process: (I(x), I(x)) for every vertex x, where I(x) holds the
+  ids of the edges at x;
+* line process: (I(u) | I(v), {e}) for every edge e = uv.
+
+The closure of a set is the least fixpoint of the rules containing it;
+a set percolates when its closure holds every element.  A least
+fixpoint does not depend on the order in which rules fire, so the
+closure is computed by worklist instead of synchronous rounds, and it
+equals the final set of ``engine.percolate_*``.  Only a rule whose
+count mask meets a newly active element can newly fire, so each rule
+is filed under the elements of its count mask.  With r = 0 every rule
+fires and every closure is full.
+
+Within a cardinality the candidates are walked depth first:
+
+* prefix reuse: a node of the walk carries the closure of the forced
+  elements plus the chosen prefix; a child adds one element to it and
+  propagates only that element.  An element already in the closure
+  leaves it unchanged.
+* subtree bound: closures are monotone, so when the closure of the
+  node's set plus every element still selectable is not full, no
+  candidate below the node percolates, and all of them are decided at
+  once without being visited.  The sets bounding a node's children
+  shrink from each child to the next, so the first child whose bound
+  fails decides every later sibling as well.
+
+``engine_calls`` keeps the meaning it had when every candidate was
+handed to the engine: the number of candidates decided, in lexicographic
+order, up to and including the witness.  With ``jobs > 1`` a
+cardinality is split into chunks by its first free element, each chunk
+counts its candidates up to and including its own first witness, and
+the counts of all chunks are summed, so the total depends on whether
+jobs is 1 but not on the number of workers or their scheduling.
 
 The budget is checked per cardinality level before enumerating it:
 a level whose subset count would push the total past the budget raises
@@ -16,17 +57,13 @@ the level is split across worker processes.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import repeat
 from math import comb
-from typing import Callable
 
-from bootperc.engine import (
-    is_percolating_edges_line,
-    is_percolating_edges_star,
-    is_percolating_vertices,
-)
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Graph
 
@@ -34,72 +71,193 @@ DEFAULT_ENGINE_CALL_BUDGET = 10_000_000
 DEFAULT_VERTEX_CAP = 25
 DEFAULT_EDGE_CAP = 20
 
-_TESTS: dict[str, Callable] = {
-    "vertex": is_percolating_vertices,
-    "star": is_percolating_edges_star,
-    "line": is_percolating_edges_line,
-}
+# (watch, r, full): watch[i] lists the rules (count, gain) whose count
+# mask holds element i; full is the mask of every element
+_Rules = tuple[list[list[tuple[int, int]]], int, int]
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A least percolating seed and the work it took to find it.
+
+    ``witness`` is the lexicographically least percolating seed of size
+    ``minimum``.  ``engine_calls`` counts the candidate seeds decided in
+    lexicographic order up to and including the witness (with
+    ``jobs > 1``: summed over the chunks of each cardinality, see the
+    module docstring).
+    """
+
     minimum: int
     witness: tuple
     engine_calls: int
 
 
-def _chunk_worker(payload) -> tuple[tuple | None, int]:
-    g, r, process, base, first, rest, need = payload
-    test = _TESTS[process]
-    calls = 0
-    for combo in combinations(rest, need):
-        calls += 1
-        if test(g, r, base + (first,) + combo):
-            return combo, calls
-    return None, calls
+def _mask(ids) -> int:
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
+def _rules(g: Graph, r: int, process: str) -> _Rules:
+    offsets = g.offsets
+    if process == "vertex":
+        targets = g.targets
+        rows = [targets[offsets[v] : offsets[v + 1]] for v in range(g.vertex_count)]
+        rule = [(_mask(row), 1 << v) for v, row in enumerate(rows)]
+        watch = [[rule[w] for w in row] for row in rows]
+        return watch, r, (1 << g.vertex_count) - 1
+    slot_edges = g.slot_edges
+    rows = [slot_edges[offsets[x] : offsets[x + 1]] for x in range(g.vertex_count)]
+    incident = [_mask(row) for row in rows]
+    ends = list(zip(g.tails, g.heads))
+    if process == "star":
+        star = [(m, m) for m in incident]
+        watch = [[star[u], star[v]] for u, v in ends]
+    else:
+        rule = [(incident[u] | incident[v], 1 << e) for e, (u, v) in enumerate(ends)]
+        watch = [
+            [rule[f] for x in (u, v) for f in rows[x] if f != e]
+            for e, (u, v) in enumerate(ends)
+        ]
+    return watch, r, (1 << g.edge_count) - 1
+
+
+def _close(rules: _Rules, active: int, fresh: int) -> int:
+    """The closure of ``active``, given that ``active & ~fresh`` is closed."""
+    watch, r, full = rules
+    if not r:
+        return full
+    while fresh:
+        before = active
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            for count, gain in watch[low.bit_length() - 1]:
+                if gain & ~active and (count & active).bit_count() >= r:
+                    active |= gain
+        fresh = active & ~before
+    return active
+
+
+def _bound(rules: _Rules, suffix: list[int], state: int, j: int) -> bool:
+    """Whether the closed set ``state`` plus every element from j on closes to full."""
+    rest = suffix[j]
+    return _close(rules, state | rest, rest & ~state) == rules[2]
+
+
+def _first(
+    rules: _Rules, bits: list[int], suffix: list[int], state: int, i: int, need: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The first of ``combinations(range(i, len(bits)), need)`` whose bits
+    close to full together with ``state``, and the number of combinations
+    decided up to and including it (all of them, if none does).
+
+    ``state`` is closed and not full, 1 <= need <= len(bits) - i, and
+    ``_bound(rules, suffix, state, i)`` holds: callers have checked it.
+    """
+    full = rules[2]
+    n = len(bits)
+    if need == 1:
+        for j in range(i, n):
+            bit = bits[j]
+            if not state & bit and _close(rules, state | bit, bit) == full:
+                return (j,), j - i + 1
+        return None, n - i
+    decided = 0
+    for j in range(i, n - need + 1):
+        if j > i and not _bound(rules, suffix, state, j):
+            # the bounds shrink with j: no later candidate percolates either
+            return None, decided + comb(n - j, need)
+        found, count = _branch(rules, bits, suffix, state, j, need - 1)
+        decided += count
+        if found is not None:
+            return found, decided
+    return None, decided
+
+
+def _branch(
+    rules: _Rules, bits: list[int], suffix: list[int], state: int, j: int, need: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """:func:`_first` over the combinations that pick j and then ``need``
+    more, where ``_bound(rules, suffix, state, j)`` holds."""
+    bit = bits[j]
+    if not state & bit:
+        state = _close(rules, state | bit, bit)
+    if state == rules[2]:
+        return tuple(range(j, j + need + 1)), 1
+    if not need:
+        return None, 1
+    found, count = _first(rules, bits, suffix, state, j + 1, need)
+    return (None if found is None else (j, *found)), count
+
+
+def _chunk(
+    rules: _Rules, bits: list[int], suffix: list[int], state: int, j: int, need: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """:func:`_branch` for one worker's chunk, whose bound is not yet checked."""
+    if not _bound(rules, suffix, state, j):
+        return None, comb(len(bits) - j - 1, need)
+    return _branch(rules, bits, suffix, state, j, need)
 
 
 def _search(
     g: Graph,
     r: int,
     process: str,
-    universe: list,
-    mandatory: list,
+    mandatory: list[int],
     max_engine_calls: int,
     jobs: int,
 ) -> SearchResult:
-    test = _TESTS[process]
+    rules = _rules(g, r, process)
+    full = rules[2]
     base = tuple(sorted(mandatory))
-    mandatory_set = set(mandatory)
-    free = [x for x in universe if x not in mandatory_set]
+    forced = _mask(base)
+    free = [x for x in range(full.bit_length()) if not forced >> x & 1]
+    bits = [1 << x for x in free]
+    suffix = [0] * (len(free) + 1)
+    for j in range(len(free) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | bits[j]
+    start = _close(rules, forced, forced)
     calls = 0
     planned = 0
-    for extra in range(len(free) + 1):
-        planned += comb(len(free), extra)
-        if planned > max_engine_calls:
-            raise ResourceLimitError(
-                f"search would need more than {max_engine_calls} engine calls"
-            )
-        if jobs <= 1 or extra == 0:
-            for combo in combinations(free, extra):
+    pool = None
+    try:
+        for extra in range(len(free) + 1):
+            planned += comb(len(free), extra)
+            if planned > max_engine_calls:
+                raise ResourceLimitError(
+                    f"search would need more than {max_engine_calls} engine calls"
+                )
+            if extra == 0:
+                found = () if start == full else None
                 calls += 1
-                candidate = tuple(sorted(base + combo))
-                if test(g, r, candidate):
-                    return SearchResult(len(candidate), candidate, calls)
-        else:
-            payloads = [
-                (g, r, process, base, free[i], free[i + 1 :], extra - 1)
-                for i in range(len(free) - extra + 1)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_chunk_worker, payloads))
-            found = None
-            for (combo, chunk_calls), payload in zip(results, payloads):
-                calls += chunk_calls
-                if combo is not None and found is None:
-                    found = tuple(sorted(base + (payload[4],) + combo))
+            elif not _bound(rules, suffix, start, 0):
+                # no candidate of this size percolates (nor any chunk's)
+                found = None
+                calls += comb(len(free), extra)
+            elif jobs <= 1:
+                found, count = _first(rules, bits, suffix, start, 0, extra)
+                calls += count
+            else:
+                chunks = range(len(free) - extra + 1)
+                if pool is None:
+                    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                results = pool.map(
+                    partial(_chunk, rules, bits, suffix, start), chunks, repeat(extra - 1)
+                )
+                found = None
+                for chunk_found, count in results:
+                    calls += count
+                    if found is None:
+                        found = chunk_found
             if found is not None:
-                return SearchResult(len(found), found, calls)
+                witness = tuple(sorted(base + tuple(free[j] for j in found)))
+                return SearchResult(len(witness), witness, calls)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     raise AssertionError("the full element set always percolates")
 
 
@@ -107,7 +265,7 @@ def _edge_search(
     g: Graph, r: int, process: str, mandatory: list[int], max_engine_calls: int, jobs: int
 ) -> SearchResult:
     """Search over edge ids, whose order is the edges' lexicographic order."""
-    ids = _search(g, r, process, list(range(g.edge_count)), mandatory, max_engine_calls, jobs)
+    ids = _search(g, r, process, mandatory, max_engine_calls, jobs)
     witness = tuple((g.tails[e], g.heads[e]) for e in ids.witness)
     return SearchResult(ids.minimum, witness, ids.engine_calls)
 
@@ -131,9 +289,7 @@ def min_percolating_vertices(
             f"{g.vertex_count} vertices exceed the search cap {max_vertices}"
         )
     mandatory = [v for v in range(g.vertex_count) if g.degree(v) < r]
-    return _search(
-        g, r, "vertex", list(range(g.vertex_count)), mandatory, max_engine_calls, jobs
-    )
+    return _search(g, r, "vertex", mandatory, max_engine_calls, jobs)
 
 
 def min_percolating_edges_star(

@@ -24,3 +24,34 @@ def random_vertex_seed(rng: random.Random, g: Graph) -> frozenset[int]:
 
 def random_edge_seed(rng: random.Random, g: Graph) -> frozenset[tuple[int, int]]:
     return frozenset(e for e in g.edge_list() if rng.random() < 0.3)
+
+
+class RecordingExecutor:
+    """Stand-in for ProcessPoolExecutor: records ``max_workers`` and the
+    number of tasks of each ``map``, and runs the tasks in the calling
+    process, so no test ever starts a large pool."""
+
+    created: list[int] = []
+    tasks: list[int] = []
+
+    @classmethod
+    def reset(cls) -> None:
+        cls.created.clear()
+        cls.tasks.clear()
+
+    def __init__(self, max_workers: int) -> None:
+        RecordingExecutor.created.append(max_workers)
+
+    def map(self, fn, *iterables):
+        results = list(map(fn, *iterables))
+        RecordingExecutor.tasks.append(len(results))
+        return iter(results)
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()

@@ -1,11 +1,15 @@
 import json
+import os
 import time
 
 import pytest
 
+from bootperc import cli, oracle
 from bootperc.cli import load_graph, main
 from bootperc.errors import PreconditionError
 from bootperc.graphs import graph_to_text, make_complete, make_hamming, HammingSpace
+
+from conftest import RecordingExecutor
 
 
 class TestLoadGraph:
@@ -139,6 +143,61 @@ class TestSearch:
             "engine_calls": 8,
         }
 
+    # measured with the enumerate-and-call-the-engine oracle; the witnesses
+    # are the ones the benchmark checks
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (
+                ["Hamming:3,2", "--r", "3", "--process", "star"],
+                '{"minimum": 10, "witness": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 4], '
+                '[2, 5], [3, 4], [3, 5], [4, 5], [6, 7]], "engine_calls": 158808}\n',
+            ),
+            (
+                ["Kn:6", "--r", "4", "--process", "star"],
+                '{"minimum": 10, "witness": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], '
+                '[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]], "engine_calls": 28093}\n',
+            ),
+            (
+                ["Kn:6", "--r", "4", "--process", "line"],
+                '{"minimum": 4, "witness": [[0, 1], [0, 2], [1, 3], [2, 4]], '
+                '"engine_calls": 622}\n',
+            ),
+            (
+                ["LineK:6", "--r", "6", "--process", "vertex"],
+                '{"minimum": 8, "witness": [0, 1, 2, 3, 5, 6, 11, 14], '
+                '"engine_calls": 16529}\n',
+            ),
+            (
+                ["Hamming:5,2", "--r", "4", "--process", "vertex", "--jobs", "1"],
+                '{"minimum": 6, "witness": [0, 1, 5, 7, 11, 18], "engine_calls": 72621}\n',
+            ),
+            (
+                ["Hamming:5,2", "--r", "4", "--process", "vertex", "--jobs", "2"],
+                '{"minimum": 6, "witness": [0, 1, 5, 7, 11, 18], "engine_calls": 85359}\n',
+            ),
+        ],
+        ids=["H32-star", "K6-star", "K6-line", "LineK6-vertex", "H52-jobs1", "H52-jobs2"],
+    )
+    def test_output_is_pinned(self, capsys, args, expected):
+        assert main(["search", *args]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_jobs_pool_is_capped(self, capsys, monkeypatch):
+        RecordingExecutor.reset()
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        args = ["search", "Hamming:4,2", "--r", "3", "--process", "vertex"]
+        assert main([*args, "--jobs", "100000"]) == 0
+        many = capsys.readouterr().out
+        # one pool for the whole search, no wider than the machine or the
+        # chunks of the first level it runs
+        assert RecordingExecutor.tasks
+        assert RecordingExecutor.created == [
+            min(os.cpu_count() or 1, RecordingExecutor.tasks[0])
+        ]
+        assert main([*args, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == many
+
 
 class TestTable:
     def test_header_and_rows(self, capsys):
@@ -167,6 +226,16 @@ class TestTable:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["table", "--d", "2", "--rmax", "5", "--out", str(a)])
         main(["table", "--d", "2", "--rmax", "5", "--jobs", "2", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_pool_is_capped(self, tmp_path, monkeypatch):
+        RecordingExecutor.reset()
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        main(["table", "--d", "2", "--rmax", "5", "--out", str(a)])
+        main(["table", "--d", "2", "--rmax", "5", "--jobs", "100000", "--out", str(b)])
+        assert RecordingExecutor.created == [min(os.cpu_count() or 1, 5)]
+        assert RecordingExecutor.tasks == [5]
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,7 +1,19 @@
+import os
+import time
+from itertools import combinations
+from math import ceil
+
 import pytest
 
+from bootperc import oracle
+from bootperc.constructions import carved_corner_set
 from bootperc.engine import is_percolating_edges_star, is_percolating_vertices
 from bootperc.errors import ResourceLimitError
+from bootperc.formulas import (
+    min_seed_hamming_bounds,
+    min_seed_line_complete,
+    weak_saturation_hamming,
+)
 from bootperc.graphs import HammingSpace, make_complete, make_hamming, make_line_graph
 from bootperc.oracle import (
     min_percolating_edges_line,
@@ -9,7 +21,7 @@ from bootperc.oracle import (
     min_percolating_vertices,
 )
 
-from itertools import combinations
+from conftest import RecordingExecutor
 
 
 class TestVertexSearch:
@@ -53,6 +65,30 @@ class TestVertexSearch:
     def test_vertex_cap_guard(self):
         with pytest.raises(ResourceLimitError):
             min_percolating_vertices(make_complete(6), 2, max_vertices=5)
+
+    def test_hamming_dim3_threshold_2(self):
+        # 27 vertices: above the default cap, so the cap is raised explicitly
+        g = make_hamming(HammingSpace(3, 3))
+        result = min_percolating_vertices(g, 2, max_vertices=27)
+        assert (result.minimum, result.witness, result.engine_calls) == (3, (0, 1, 12), 390)
+        lower, _ = min_seed_hamming_bounds(3, 2, 3)
+        assert ceil(lower) == 3 <= result.minimum <= len(carved_corner_set(3, 2, 3)) == 4
+
+    def test_hamming_dim3_threshold_3(self):
+        g = make_hamming(HammingSpace(3, 3))
+        started = time.perf_counter()
+        result = min_percolating_vertices(g, 3, max_vertices=27)
+        assert time.perf_counter() - started < 5.0
+        assert (result.minimum, result.witness, result.engine_calls) == (
+            6,
+            (0, 1, 2, 12, 16, 22),
+            103195,
+        )
+        assert is_percolating_vertices(g, 3, result.witness)
+
+    def test_hamming_dim3_needs_the_cap_raised(self):
+        with pytest.raises(ResourceLimitError):
+            min_percolating_vertices(make_hamming(HammingSpace(3, 3)), 2)
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -105,6 +141,20 @@ class TestLineSearch:
         assert direct == via_line_graph
 
 
+class TestK7:
+    # 21 edges: above the default edge cap, so the cap is raised explicitly
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_star_minimum_is_the_weak_saturation_number(self, r):
+        result = min_percolating_edges_star(make_complete(7), r, max_edges=21)
+        assert result.minimum == weak_saturation_hamming(7, r, 1)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_line_minimum_is_the_closed_form(self, r):
+        result = min_percolating_edges_line(make_complete(7), r, max_edges=21)
+        assert result.minimum == min_seed_line_complete(7, r)
+
+
 class TestParallelSearch:
     def test_jobs_do_not_change_the_answer(self):
         g = make_hamming(HammingSpace(3, 2))
@@ -116,3 +166,25 @@ class TestParallelSearch:
         seq = min_percolating_edges_star(make_complete(4), 2, jobs=1)
         par = min_percolating_edges_star(make_complete(4), 2, jobs=2)
         assert (seq.minimum, seq.witness) == (par.minimum, par.witness)
+
+    def test_one_capped_pool_per_search(self, monkeypatch):
+        RecordingExecutor.reset()
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=100_000)
+        assert (result.minimum, result.witness, result.engine_calls) == (
+            6,
+            (0, 1, 5, 7, 11, 18),
+            85359,
+        )
+        # several levels ran in parallel, all on the one pool
+        assert len(RecordingExecutor.tasks) > 1
+        assert RecordingExecutor.created == [
+            min(os.cpu_count() or 1, RecordingExecutor.tasks[0])
+        ]
+
+    def test_no_pool_without_a_parallel_level(self, monkeypatch):
+        RecordingExecutor.reset()
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        assert min_percolating_vertices(make_complete(5), 0, jobs=4).witness == ()
+        assert min_percolating_vertices(make_complete(5), 4, jobs=1).minimum == 4
+        assert RecordingExecutor.created == []

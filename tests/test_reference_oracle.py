@@ -1,0 +1,123 @@
+"""The bitmask oracle against the enumerate-and-call-the-engine reference.
+
+Both must return the same (minimum, witness, engine_calls): the witness
+is the lexicographically least one, and engine_calls counts candidates
+decided in lexicographic order, so pruning may not change either.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_oracle as ref
+from bootperc import oracle
+from bootperc.engine import (
+    is_percolating_edges_line,
+    is_percolating_edges_star,
+    is_percolating_vertices,
+    percolate_edges_linegraph,
+    percolate_edges_star,
+    percolate_vertices,
+)
+from bootperc.errors import ResourceLimitError
+from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming, make_line_graph
+
+from conftest import random_graph
+
+SEARCHES = {
+    "vertex": (oracle.min_percolating_vertices, ref.min_percolating_vertices),
+    "star": (oracle.min_percolating_edges_star, ref.min_percolating_edges_star),
+    "line": (oracle.min_percolating_edges_line, ref.min_percolating_edges_line),
+}
+# (full run, percolation test) of the engine
+ENGINES = {
+    "vertex": (percolate_vertices, is_percolating_vertices),
+    "star": (percolate_edges_star, is_percolating_edges_star),
+    "line": (percolate_edges_linegraph, is_percolating_edges_line),
+}
+
+
+def _outcome(search, g, r, **kwargs):
+    try:
+        result = search(g, r, **kwargs)
+    except ResourceLimitError:
+        return "ResourceLimitError"
+    return result.minimum, result.witness, result.engine_calls
+
+
+def _random_cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        # at most 15 edges keeps every reference search under 2^15 candidates
+        g = random_graph(rng, max_vertices=rng.choice((6, 8)))
+        for process in SEARCHES:
+            if process == "vertex" or g.edge_count <= 15:
+                for r in range(5):
+                    yield g, process, r
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_graphs_match_reference(seed):
+    for g, process, r in _random_cases(seed, 20):
+        new, old = SEARCHES[process]
+        assert _outcome(new, g, r) == _outcome(old, g, r), (g, process, r)
+
+
+def test_random_graphs_match_reference_in_parallel():
+    for g, process, r in _random_cases(100, 3):
+        new, old = SEARCHES[process]
+        assert _outcome(new, g, r, jobs=2) == _outcome(old, g, r, jobs=2), (g, process, r)
+
+
+@pytest.mark.parametrize(
+    "g,process,r",
+    [
+        (make_hamming(HammingSpace(3, 2)), "vertex", 3),
+        (make_hamming(HammingSpace(4, 2)), "vertex", 3),
+        (make_complete(5), "star", 3),
+        (make_complete(5), "line", 3),
+        (make_line_graph(make_complete(5))[0], "vertex", 4),
+    ],
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_families_match_reference(g, process, r, jobs):
+    new, old = SEARCHES[process]
+    assert _outcome(new, g, r, jobs=jobs) == _outcome(old, g, r, jobs=jobs)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100, 137, 1000])
+def test_budget_refusals_match_reference(budget):
+    g = make_hamming(HammingSpace(4, 2))
+    new, old = SEARCHES["vertex"]
+    assert _outcome(new, g, 3, max_engine_calls=budget) == _outcome(
+        old, g, 3, max_engine_calls=budget
+    )
+
+
+@st.composite
+def _graph_seed(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    g = Graph.from_edges(n, edges)
+    process = draw(st.sampled_from(sorted(ENGINES)))
+    size = g.vertex_count if process == "vertex" else g.edge_count
+    seed = draw(st.sets(st.integers(0, size - 1), max_size=size)) if size else set()
+    return g, process, draw(st.integers(0, 5)), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_seed())
+def test_closure_is_the_engines_final_set(case):
+    g, process, r, seed = case
+    rules = oracle._rules(g, r, process)
+    mask = oracle._mask(seed)
+    closed = oracle._close(rules, mask, mask)
+    run, percolates = ENGINES[process]
+    final = run(g, r, seed).final
+    if process != "vertex":
+        final = {g.edge_id(u, v) for u, v in final}
+    assert closed == oracle._mask(final)
+    assert (closed == rules[2]) == percolates(g, r, seed)
