@@ -44,7 +44,6 @@ from bootperc.formulas import (
     weighted_simplex_bounds,
 )
 from bootperc.graphs import (
-    EdgeIndexMap,
     Graph,
     HammingSpace,
     cartesian_product,
@@ -80,7 +79,6 @@ __all__ = [
     "ActivationTrace",
     "DimReport",
     "EdgeColoring",
-    "EdgeIndexMap",
     "EdgeWitness",
     "FormatError",
     "Graph",

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,7 +63,7 @@ def load_graph(spec: str) -> Graph:
         if name == "LineK":
             if len(args) != 1:
                 raise PreconditionError("LineK takes one parameter, e.g. LineK:5")
-            return make_line_graph(make_complete(args[0]))[0]
+            return make_line_graph(make_complete(args[0]))
         raise PreconditionError(
             f"unknown graph family {name!r}; known families: {', '.join(KNOWN_FAMILIES)}"
         )
@@ -183,6 +182,8 @@ def _decimal(x: Fraction) -> str:
 def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
     payloads = [(d, r, n if n is not None else r + 1) for r in range(1, rmax + 1)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
+
         workers = min(jobs, os.cpu_count() or 1, len(payloads))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_table_row, payloads))
@@ -191,10 +192,7 @@ def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
 
 def cmd_dimw(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    gammas = None
-    if args.generators:
-        gammas = [Fraction(tok) for tok in args.generators.split(",")]
-        gammas = [int(x) if x.denominator == 1 else x for x in gammas]
+    gammas = _generators(args.generators) if args.generators else None
     coloring = product_coloring_on(g, gammas)
     report = recognized_space_report(g, coloring, args.r)
     payload: dict[str, object] = {"dim": report.dim}
@@ -208,6 +206,18 @@ def cmd_dimw(args: argparse.Namespace) -> int:
         )
     _emit(json.dumps(payload) + "\n", args.out)
     return 0
+
+
+def _generators(text: str) -> list[Fraction | int]:
+    """Comma-separated rationals ("2", "5/7"); integral values become ints."""
+    gammas: list[Fraction | int] = []
+    for tok in text.split(","):
+        try:
+            x = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"bad generator {tok!r} in --generators") from None
+        gammas.append(int(x) if x.denominator == 1 else x)
+    return gammas
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -36,8 +36,7 @@ vertices or edge pairs are built only for an :class:`ActivationTrace`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from bootperc.errors import FormatError, PreconditionError
 from bootperc.graphs import Edge, Graph, normalize_edge
@@ -45,8 +44,7 @@ from bootperc.graphs import Edge, Graph, normalize_edge
 _VERTEX, _STAR, _LINE = "vertex", "star", "line"
 
 
-@dataclass(frozen=True)
-class ActivationTrace:
+class ActivationTrace(NamedTuple):
     """Full record of one percolation run.
 
     ``rounds[i]`` is the set of elements newly activated at step i+1;

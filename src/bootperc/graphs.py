@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, product, repeat
 from operator import add
@@ -61,7 +60,10 @@ def _offsets(degrees: Iterable[int]) -> array:
     return array(_INT, list(accumulate(degrees, initial=0)))
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *_) -> None:
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class Graph:
     """Immutable undirected simple graph in CSR form (see the module docstring).
 
@@ -70,12 +72,30 @@ class Graph:
     derived from the rows the first time they are asked for, which the
     vertex process never does.  ``edges``, ``adjacency`` and
     ``edge_list()`` are read-only views, likewise built once, on first
-    use.
+    use.  Two graphs are equal when their vertex counts and rows are;
+    graphs are not hashable.
     """
 
     vertex_count: int
-    offsets: array = field(repr=False)
-    targets: array = field(repr=False)
+    offsets: array
+    targets: array
+
+    def __init__(self, vertex_count: int, offsets: array, targets: array) -> None:
+        vars(self).update(vertex_count=vertex_count, offsets=offsets, targets=targets)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"Graph(vertex_count={self.vertex_count})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.offsets, self.targets) == (
+            other.vertex_count,
+            other.offsets,
+            other.targets,
+        )
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -201,16 +221,29 @@ class Graph:
         return self.slot_edges[k]
 
 
-@dataclass(frozen=True)
 class HammingSpace:
-    """Codec between flat vertex indices and points of [0,n)^d."""
+    """Codec between flat vertex indices and points of [0,n)^d; read-only and hashable."""
 
     n: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
+    def __init__(self, n: int, d: int) -> None:
+        if n < 1 or d < 1:
             raise PreconditionError("HammingSpace needs n >= 1 and d >= 1")
+        vars(self).update(n=n, d=d)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"HammingSpace(n={self.n}, d={self.d})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.d) == (other.n, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d))
 
     @property
     def size(self) -> int:
@@ -233,26 +266,6 @@ class HammingSpace:
         for i in range(self.d - 1, -1, -1):
             index, coords[i] = divmod(index, self.n)
         return tuple(coords)
-
-
-@dataclass(frozen=True)
-class EdgeIndexMap:
-    """Bijection between the edges of a base graph and line-graph vertices.
-
-    Edge i of the base graph (its edge id, lexicographic order) is
-    vertex i of the line graph.
-    """
-
-    base: Graph
-
-    def index_of(self, u: int, v: int) -> int:
-        return self.base.edge_id(u, v)
-
-    def edge_of(self, index: int) -> Edge:
-        return (self.base.tails[index], self.base.heads[index])
-
-    def __len__(self) -> int:
-        return self.base.edge_count
 
 
 def make_complete(n: int) -> Graph:
@@ -330,11 +343,13 @@ def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph
     return Graph(size, _offsets(repeat(degree, size)), targets)
 
 
-def make_line_graph(g: Graph) -> tuple[Graph, EdgeIndexMap]:
-    """Line graph of g plus the edge<->vertex bijection.
+def make_line_graph(g: Graph) -> Graph:
+    """Line graph of g.
 
-    Vertices of the result are the edges of g in lexicographic order;
-    two are adjacent iff the underlying edges share an endpoint.
+    Vertex i of the result is edge i of g, ``(g.tails[i], g.heads[i])``,
+    so the vertices follow the edges' lexicographic order and
+    ``g.edge_id(u, v)`` maps back; two are adjacent iff the underlying
+    edges share an endpoint.
     """
     degrees = [g.degree(v) for v in range(g.vertex_count)]
     _check_slots("line graph", g.edge_count, sum(k * (k - 1) // 2 for k in degrees))
@@ -348,7 +363,7 @@ def make_line_graph(g: Graph) -> tuple[Graph, EdgeIndexMap]:
         del row[k : k + 2]
         targets.fromlist(row)
     line_degrees = (degrees[u] + degrees[v] - 2 for u, v in zip(g.tails, g.heads))
-    return Graph(g.edge_count, _offsets(line_degrees), targets), EdgeIndexMap(g)
+    return Graph(g.edge_count, _offsets(line_degrees), targets)
 
 
 def graph_to_text(g: Graph) -> str:

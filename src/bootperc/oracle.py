@@ -58,11 +58,10 @@ the level is split across worker processes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from math import comb
+from typing import NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Graph
@@ -76,8 +75,7 @@ DEFAULT_EDGE_CAP = 20
 _Rules = tuple[list[list[tuple[int, int]]], int, int]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """A least percolating seed and the work it took to find it.
 
     ``witness`` is the lexicographically least percolating seed of size
@@ -242,6 +240,8 @@ def _search(
             else:
                 chunks = range(len(free) - extra + 1)
                 if pool is None:
+                    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
+
                     workers = min(jobs, os.cpu_count() or 1, len(chunks))
                     pool = ProcessPoolExecutor(max_workers=workers)
                 results = pool.map(

@@ -24,9 +24,9 @@ prime factor already in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Edge, Graph, cartesian_product, make_complete, normalize_edge
@@ -121,8 +121,7 @@ def poly_scale(p: Poly, s: Fraction | int) -> Poly:
 # ---------------------------------------------------------------------------
 # colorings
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(NamedTuple):
     """Edge -> rational color map, optionally with product-form generators.
 
     When ``generators`` is present, c(ij) = generators[i]*generators[j]
@@ -212,8 +211,7 @@ def lift_coloring(g: Graph, coloring: EdgeColoring, n: int) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # dimension of the recognized space
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(NamedTuple):
     dim: int
     constraint_rows: int
     constraint_cols: int
@@ -343,8 +341,7 @@ def recognized_space_dim_hamming(
 # ---------------------------------------------------------------------------
 # explicit witnesses on the complete graph
 
-@dataclass(frozen=True)
-class EdgeWitness:
+class EdgeWitness(NamedTuple):
     """One recognized edge function built for a distinguished edge.
 
     ``polynomials[i]`` recognizes the function at vertex i; ``values``

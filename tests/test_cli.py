@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from bootperc import cli, oracle
 from bootperc.cli import load_graph, main
 from bootperc.errors import PreconditionError
 from bootperc.graphs import graph_to_text, make_complete, make_hamming, HammingSpace
@@ -185,7 +188,7 @@ class TestSearch:
 
     def test_jobs_pool_is_capped(self, capsys, monkeypatch):
         RecordingExecutor.reset()
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         args = ["search", "Hamming:4,2", "--r", "3", "--process", "vertex"]
         assert main([*args, "--jobs", "100000"]) == 0
         many = capsys.readouterr().out
@@ -230,7 +233,7 @@ class TestTable:
 
     def test_jobs_pool_is_capped(self, tmp_path, monkeypatch):
         RecordingExecutor.reset()
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["table", "--d", "2", "--rmax", "5", "--out", str(a)])
         main(["table", "--d", "2", "--rmax", "5", "--jobs", "100000", "--out", str(b)])
@@ -305,9 +308,37 @@ class TestRejectedInput:
         assert reason["error"] == "ResourceLimitError"
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("token", ["1/0", "x"])
+    def test_bad_generator(self, capsys, token):
+        argv = ["dimw", "Kn:4", "--r", "2", "--generators", f"{token},2,3,4"]
+        rc, reason, _ = self.run(argv, capsys)
+        assert rc == 1
+        assert reason["error"] == "FormatError"
+        assert repr(token) in reason["reason"]
+
     def test_oversized_dimw_instance(self, capsys):
         # E*(V*r)^2 = 4950 * 1000^2, far over the rank-cost cap
         rc, reason, elapsed = self.run(["dimw", "Kn:100", "--r", "10"], capsys)
         assert rc == 1
         assert reason["error"] == "ResourceLimitError"
         assert elapsed < 1.0
+
+
+class TestStartup:
+    """``import bootperc.cli`` loads every layer, and no pool or dataclass machinery."""
+
+    def test_import_footprint(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, bootperc.cli; print(*sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        loaded = set(out.split())
+        heavy = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging"}
+        assert sorted(heavy & loaded) == []
+        # the benchmark's tracer reads every layer from sys.modules
+        layers = ("graphs", "constructions", "engine", "formulas", "oracle", "polymethod", "linalg")
+        assert sorted({f"bootperc.{m}" for m in layers} - loaded) == []

@@ -279,13 +279,13 @@ class TestLineGraphEquivalence:
             g = random_graph(rng, 8)
             r = rng.randint(0, 6)
             seed = random_edge_seed(rng, g)
-            lg, emap = make_line_graph(g)
+            lg = make_line_graph(g)
             direct = percolate_edges_linegraph(g, r, seed)
-            mapped = percolate_vertices(g=lg, r=r, seed=[emap.index_of(*e) for e in seed])
+            mapped = percolate_vertices(g=lg, r=r, seed=[g.edge_id(*e) for e in seed])
             assert len(direct.rounds) == len(mapped.rounds)
             for d_round, m_round in zip(direct.rounds, mapped.rounds):
-                assert d_round == frozenset(emap.edge_of(i) for i in m_round)
-            assert direct.final == frozenset(emap.edge_of(i) for i in mapped.final)
+                assert d_round == frozenset((g.tails[i], g.heads[i]) for i in m_round)
+            assert direct.final == frozenset((g.tails[i], g.heads[i]) for i in mapped.final)
 
 
 class TestSeedFiles:

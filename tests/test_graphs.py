@@ -140,32 +140,34 @@ class TestHammingGraph:
 
 class TestLineGraph:
     def test_triangle_is_self_line_graph(self):
-        lg, _ = make_line_graph(make_complete(3))
+        lg = make_line_graph(make_complete(3))
         assert lg.edges == make_complete(3).edges
 
     def test_k4(self):
-        lg, emap = make_line_graph(make_complete(4))
+        g = make_complete(4)
+        lg = make_line_graph(g)
         assert (lg.vertex_count, lg.edge_count) == (6, 12)
         assert all(lg.degree(v) == 4 for v in range(6))
-        assert emap.edge_of(emap.index_of(2, 0)) == (0, 2)
+        i = g.edge_id(2, 0)
+        assert (g.tails[i], g.heads[i]) == (0, 2)
 
     def test_single_edge(self):
-        lg, _ = make_line_graph(Graph.from_edges(2, [(0, 1)]))
+        lg = make_line_graph(Graph.from_edges(2, [(0, 1)]))
         assert (lg.vertex_count, lg.edge_count) == (1, 0)
 
     def test_regular_degree_sweep(self):
         for n in range(3, 7):
-            lg, _ = make_line_graph(make_complete(n))
+            lg = make_line_graph(make_complete(n))
             assert all(lg.degree(v) == 2 * n - 4 for v in range(lg.vertex_count))
 
     def test_adjacency_matches_shared_endpoints(self):
         rng = random.Random(23)
         for _ in range(15):
             g = random_graph(rng, 7)
-            lg, emap = make_line_graph(g)
+            lg = make_line_graph(g)
             for i in range(lg.vertex_count):
                 for j in range(i + 1, lg.vertex_count):
-                    shared = set(emap.edge_of(i)) & set(emap.edge_of(j))
+                    shared = {g.tails[i], g.heads[i]} & {g.tails[j], g.heads[j]}
                     assert ((i, j) in lg.edges) == (len(shared) == 1)
 
 

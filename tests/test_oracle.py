@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import time
 from itertools import combinations
@@ -5,7 +6,6 @@ from math import ceil
 
 import pytest
 
-from bootperc import oracle
 from bootperc.constructions import carved_corner_set
 from bootperc.engine import is_percolating_edges_star, is_percolating_vertices
 from bootperc.errors import ResourceLimitError
@@ -135,7 +135,7 @@ class TestLineSearch:
     @pytest.mark.parametrize("n,r", [(4, 1), (4, 2), (4, 3), (5, 2)])
     def test_agrees_with_vertex_search_on_line_graph(self, n, r):
         g = make_complete(n)
-        lg, _ = make_line_graph(g)
+        lg = make_line_graph(g)
         direct = min_percolating_edges_line(g, r).minimum
         via_line_graph = min_percolating_vertices(lg, r).minimum
         assert direct == via_line_graph
@@ -169,7 +169,7 @@ class TestParallelSearch:
 
     def test_one_capped_pool_per_search(self, monkeypatch):
         RecordingExecutor.reset()
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=100_000)
         assert (result.minimum, result.witness, result.engine_calls) == (
             6,
@@ -184,7 +184,7 @@ class TestParallelSearch:
 
     def test_no_pool_without_a_parallel_level(self, monkeypatch):
         RecordingExecutor.reset()
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         assert min_percolating_vertices(make_complete(5), 0, jobs=4).witness == ()
         assert min_percolating_vertices(make_complete(5), 4, jobs=1).minimum == 4
         assert RecordingExecutor.created == []

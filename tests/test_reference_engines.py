@@ -67,7 +67,7 @@ class TestRandomGraphs:
 
 FIXED_GRAPHS = {
     "Hamming(3,3)": lambda: make_hamming(HammingSpace(3, 3)),
-    "line graph of K6": lambda: make_line_graph(make_complete(6))[0],
+    "line graph of K6": lambda: make_line_graph(make_complete(6)),
 }
 
 

@@ -78,7 +78,7 @@ def test_random_graphs_match_reference_in_parallel():
         (make_hamming(HammingSpace(4, 2)), "vertex", 3),
         (make_complete(5), "star", 3),
         (make_complete(5), "line", 3),
-        (make_line_graph(make_complete(5))[0], "vertex", 4),
+        (make_line_graph(make_complete(5)), "vertex", 4),
     ],
 )
 @pytest.mark.parametrize("jobs", [1, 2])
