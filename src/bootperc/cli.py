@@ -77,31 +77,26 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _build_seed(family: str, n: int, r: int, d: int | None):
-    """Returns (vertex seed or None, edge seed or None, graph, process)."""
-    if family == "v2":
-        if d not in (None, 2):
+# family: (process, dimension when --d is omitted, seed builder taking (n, r, d))
+_FAMILIES = {
+    "v2": ("vertex", 2, lambda n, r, d: constructions.vertex_seed_dim2(n, r)),
+    "a": ("vertex", 2, constructions.simplex_corner_set),
+    "c": ("vertex", 2, constructions.carved_corner_set),
+    "star": ("star", 1, constructions.star_seed_hamming),
+    "line": ("line", 1, lambda n, r, d: constructions.line_seed(n, r)),
+}
+
+
+def _family(family: str, d: int | None):
+    """(process, dimension, seed builder) of a construction family, after checking --d."""
+    process, dim, build = _FAMILIES[family]
+    if d is not None and d != dim:
+        if family == "v2":
             raise PreconditionError("family v2 is two-dimensional; omit --d or pass 2")
-        seed = constructions.vertex_seed_dim2(n, r)
-        return seed, None, make_hamming(HammingSpace(n, 2)), "vertex"
-    if family == "a":
-        dd = 2 if d is None else d
-        seed = constructions.simplex_corner_set(n, r, dd)
-        return seed, None, make_hamming(HammingSpace(n, dd)), "vertex"
-    if family == "c":
-        dd = 2 if d is None else d
-        seed = constructions.carved_corner_set(n, r, dd)
-        return seed, None, make_hamming(HammingSpace(n, dd)), "vertex"
-    if family == "star":
-        dd = 1 if d is None else d
-        edges = constructions.star_seed_hamming(n, r, dd)
-        return None, edges, make_hamming(HammingSpace(n, dd)), "star"
-    if family == "line":
-        if d not in (None, 1):
+        if family == "line":
             raise PreconditionError("family line lives on the complete graph; omit --d")
-        edges = constructions.line_seed(n, r)
-        return None, edges, make_complete(n), "line"
-    raise PreconditionError(f"unknown construction family {family!r}")
+        dim = d
+    return process, dim, build
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -123,27 +118,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    vertices, edges, _, _ = _build_seed(args.family, args.n, args.r, args.d)
-    text = seed_to_text(vertices or (), edges or ())
-    size = len(vertices) if vertices is not None else len(edges)
-    _emit(text, args.out)
+    process, d, build = _family(args.family, args.d)
+    seed = build(args.n, args.r, d)
+    vertices, edges = (seed, ()) if process == "vertex" else ((), seed)
+    _emit(seed_to_text(vertices, edges), args.out)
     stream = sys.stdout if args.out is not None else sys.stderr
-    print(f"size={size}", file=stream)
+    print(f"size={len(seed)}", file=stream)
     return 0
 
 
+_IS_PERCOLATING = {
+    "vertex": is_percolating_vertices,
+    "star": is_percolating_edges_star,
+    "line": is_percolating_edges_line,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    vertices, edges, g, process = _build_seed(args.family, args.n, args.r, args.d)
-    if process == "vertex":
-        ok = is_percolating_vertices(g, args.r, vertices)
-        size = len(vertices)
-    elif process == "star":
-        ok = is_percolating_edges_star(g, args.r, edges)
-        size = len(edges)
+    process, d, build = _family(args.family, args.d)
+    # the graph first: its slot guard refuses a dimension before the seed enumerates it
+    if process == "line":
+        g = make_complete(args.n)
     else:
-        ok = is_percolating_edges_line(g, args.r, edges)
-        size = len(edges)
-    print(f"{'PERCOLATES' if ok else 'STALLS'} size={size}")
+        g = make_hamming(HammingSpace(args.n, d))
+    seed = build(args.n, args.r, d)
+    ok = _IS_PERCOLATING[process](g, args.r, seed)
+    print(f"{'PERCOLATES' if ok else 'STALLS'} size={len(seed)}")
     return 0
 
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("construct", help="emit a percolating-seed construction")
-    p.add_argument("--family", choices=("v2", "a", "c", "star", "line"), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int)
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="construct a seed and check it percolates")
-    p.add_argument("--family", choices=("v2", "a", "c", "star", "line"), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int)

@@ -70,9 +70,9 @@ class Graph:
     Build instances through :meth:`from_edges` or the family builders
     below.  The edge ids (``tails``, ``heads``, ``slot_edges``) are
     derived from the rows the first time they are asked for, which the
-    vertex process never does.  ``edges``, ``adjacency`` and
-    ``edge_list()`` are read-only views, likewise built once, on first
-    use.  Two graphs are equal when their vertex counts and rows are;
+    vertex process never does.  ``edge_list()`` is the one view of the
+    edges as pairs; ``has_edge``, ``edge_id`` and ``degree`` read the
+    rows.  Two graphs are equal when their vertex counts and rows are;
     graphs are not hashable.
     """
 
@@ -178,26 +178,9 @@ class Graph:
         """Edge id behind each adjacency slot."""
         return self._ids[2]
 
-    @cached_property
-    def _pairs(self) -> tuple[Edge, ...]:
-        return tuple(zip(self.tails, self.heads))
-
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        """Normalized (min, max) pairs."""
-        return frozenset(self._pairs)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple per vertex."""
-        offsets, targets = self.offsets, self.targets
-        return tuple(
-            tuple(targets[offsets[v] : offsets[v + 1]]) for v in range(self.vertex_count)
-        )
-
     def edge_list(self) -> list[Edge]:
         """Edges sorted lexicographically, i.e. by edge id; the canonical iteration order."""
-        return list(self._pairs)
+        return list(zip(self.tails, self.heads))
 
     def degree(self, v: int) -> int:
         return self.offsets[v + 1] - self.offsets[v]

@@ -374,7 +374,7 @@ def complete_graph_witnesses(n: int, r: int) -> list[EdgeWitness]:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
     gammas = first_primes(n)
     coloring = product_coloring(n)
-    g = make_complete(n)
+    edges = make_complete(n).edge_list()
     witnesses: list[EdgeWitness] = []
     for u in range(r + 1):
         for v in range(u + 1, r + 1):
@@ -400,7 +400,7 @@ def complete_graph_witnesses(n: int, r: int) -> list[EdgeWitness]:
                 if poly_degree(p) > r - 1:
                     raise AssertionError("witness polynomial exceeds degree r-1")
             values: dict[Edge, Fraction] = {}
-            for i, j in g.edge_list():
+            for i, j in edges:
                 lam = coloring.colors[(i, j)]
                 left = poly_eval(polys[i], lam)
                 right = poly_eval(polys[j], lam)

@@ -3,6 +3,9 @@
 Test-only reference: tuple-keyed edge state and one copy of the round
 loop per process, kept unchanged so that the CSR kernel in
 ``bootperc.engine`` can be required to match them round for round.
+Only the graph accessors changed: the edge set and the neighbor tuples
+these loops read are built here from ``edge_list()`` and the CSR rows,
+since ``Graph`` no longer keeps them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,16 @@ from bootperc.errors import PreconditionError
 from bootperc.graphs import Edge, Graph, normalize_edge
 
 _INACTIVE, _SCHEDULED, _ACTIVE = 0, 1, 2
+
+
+def _edges(g: Graph) -> frozenset[Edge]:
+    return frozenset(g.edge_list())
+
+
+def _adjacency(g: Graph) -> list[tuple[int, ...]]:
+    """Sorted neighbor tuple per vertex."""
+    offsets, targets = g.offsets, g.targets
+    return [tuple(targets[offsets[v] : offsets[v + 1]]) for v in range(g.vertex_count)]
 
 
 def _check_r(r: int) -> None:
@@ -31,8 +44,9 @@ def _check_vertex_seed(g: Graph, seed: Iterable[int]) -> frozenset[int]:
 
 def _check_edge_seed(g: Graph, seed: Iterable[tuple[int, int]]) -> frozenset[Edge]:
     out = frozenset(normalize_edge(u, v) for u, v in seed)
+    edges = _edges(g)
     for e in out:
-        if e not in g.edges:
+        if e not in edges:
             raise PreconditionError(f"seed edge {e} not in graph")
     return out
 
@@ -40,13 +54,14 @@ def _check_edge_seed(g: Graph, seed: Iterable[tuple[int, int]]) -> frozenset[Edg
 def percolate_vertices(g: Graph, r: int, seed: Iterable[int]) -> ActivationTrace:
     """Run the r-neighbor vertex process from ``seed`` to closure."""
     _check_r(r)
+    adjacency = _adjacency(g)
     seed_set = _check_vertex_seed(g, seed)
     active = bytearray(g.vertex_count)
     for v in seed_set:
         active[v] = 1
     counts = [0] * g.vertex_count
     for v in seed_set:
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             counts[w] += 1
     if r == 0:
         frontier = [v for v in range(g.vertex_count) if not active[v]]
@@ -61,7 +76,7 @@ def percolate_vertices(g: Graph, r: int, seed: Iterable[int]) -> ActivationTrace
             active[v] = 1
         next_frontier: list[int] = []
         for v in frontier:
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 counts[w] += 1
                 # counts[w] passes r exactly once, so w is queued exactly once
                 if counts[w] == r and not active[w]:
@@ -79,8 +94,9 @@ def percolate_edges_star(g: Graph, r: int, seed: Iterable[tuple[int, int]]) -> A
     a star with r+1 edges whose other r edges are already active.
     """
     _check_r(r)
+    adjacency = _adjacency(g)
     seed_set = _check_edge_seed(g, seed)
-    state = {e: _INACTIVE for e in g.edges}
+    state = {e: _INACTIVE for e in _edges(g)}
     vcount = [0] * g.vertex_count
     for u, v in seed_set:
         state[(u, v)] = _ACTIVE
@@ -104,7 +120,7 @@ def percolate_edges_star(g: Graph, r: int, seed: Iterable[tuple[int, int]]) -> A
                 if vcount[x] == r:
                     # x just reached the threshold: everything inactive at x
                     # becomes activatable, and stays captured from here on
-                    for w in g.adjacency[x]:
+                    for w in adjacency[x]:
                         e2 = normalize_edge(x, w)
                         if state[e2] == _INACTIVE:
                             state[e2] = _SCHEDULED
@@ -125,8 +141,9 @@ def percolate_edges_linegraph(
     graph round for round.
     """
     _check_r(r)
+    adjacency = _adjacency(g)
     seed_set = _check_edge_seed(g, seed)
-    state = {e: _INACTIVE for e in g.edges}
+    state = {e: _INACTIVE for e in _edges(g)}
     vcount = [0] * g.vertex_count
     for u, v in seed_set:
         state[(u, v)] = _ACTIVE
@@ -152,7 +169,7 @@ def percolate_edges_linegraph(
         next_frontier: list[Edge] = []
         # only edges at a touched endpoint can have newly met the rule
         for x in sorted(touched):
-            for w in g.adjacency[x]:
+            for w in adjacency[x]:
                 e2 = normalize_edge(x, w)
                 if state[e2] == _INACTIVE and vcount[x] + vcount[w] >= r:
                     state[e2] = _SCHEDULED

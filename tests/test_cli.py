@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -17,8 +18,8 @@ from conftest import RecordingExecutor
 
 class TestLoadGraph:
     def test_families(self):
-        assert load_graph("Kn:4").edges == make_complete(4).edges
-        assert load_graph("Hamming:3,2").edges == make_hamming(HammingSpace(3, 2)).edges
+        assert load_graph("Kn:4") == make_complete(4)
+        assert load_graph("Hamming:3,2") == make_hamming(HammingSpace(3, 2))
         assert load_graph("LineK:4").vertex_count == 6
 
     def test_unknown_family_lists_known_ones(self):
@@ -34,7 +35,7 @@ class TestLoadGraph:
     def test_graph_file(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(graph_to_text(make_complete(4)))
-        assert load_graph(str(path)).edges == make_complete(4).edges
+        assert load_graph(str(path)) == make_complete(4)
 
 
 class TestVerify:
@@ -87,6 +88,22 @@ class TestConstructSimulate:
         captured = capsys.readouterr()
         assert captured.out == "e 0 3\ne 2 3\n"
         assert captured.err == "size=2\n"
+
+    @pytest.mark.parametrize(
+        "family,n,r,d,out",
+        [
+            ("star", 5000, 2, 2, "e 0 5000\ne 0 10000\ne 1 5001\ne 5000 10000\n"),
+            ("line", 7000, 4, None, "e 0 6998\ne 0 6999\ne 1 6999\ne 6997 6998\n"),
+        ],
+        ids=["star", "line"],
+    )
+    def test_construct_builds_no_graph(self, capsys, family, n, r, d, out):
+        # H(5000, 2) and K_7000 are over the slot cap; their seeds have four edges
+        argv = ["construct", "--family", family, "--n", str(n), "--r", str(r)]
+        assert main(argv + ([] if d is None else ["--d", str(d)])) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == "size=4\n"
 
     def test_simulate_rejects_mismatched_seed_kind(self, tmp_path, capsys):
         seed_path = tmp_path / "seed.txt"
@@ -307,6 +324,33 @@ class TestRejectedInput:
         assert rc == 1
         assert reason["error"] == "ResourceLimitError"
         assert elapsed < 1.0
+
+    def test_verify_guards_the_graph_before_the_seed(self, capsys):
+        # the simplex region of dimension 2000 would recurse 2000 levels deep
+        argv = ["verify", "--family", "a", "--n", "2", "--r", "1", "--d", "2000"]
+        rc, reason, elapsed = self.run(argv, capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n,r,d", [(60, 59, 8), (2, 1, 40)])
+    def test_verify_refuses_before_enumerating(self, n, r, d):
+        # enumerating either seed takes gigabytes, so run it in a child with capped memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["verify", "--family", "a", "--n", str(n), "--r", str(r), "--d", str(d)]
+        run = subprocess.run(
+            [sys.executable, "-m", "bootperc", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert run.returncode == 1
+        assert json.loads(run.stderr)["error"] == "ResourceLimitError"
 
     @pytest.mark.parametrize("token", ["1/0", "x"])
     def test_bad_generator(self, capsys, token):

@@ -104,7 +104,7 @@ class TestStarSearch:
 
     def test_k4_threshold_2_no_smaller_seed(self):
         k4 = make_complete(4)
-        for pair in combinations(sorted(k4.edges), 2):
+        for pair in combinations(k4.edge_list(), 2):
             assert not is_percolating_edges_star(k4, 2, pair)
 
     def test_k3_threshold_2_needs_all_edges(self):

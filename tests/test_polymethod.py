@@ -87,7 +87,8 @@ class TestLiftColoring:
         assert is_proper_coloring(g, coloring)
         # exhaustive: incident edges really get distinct colors
         for v in range(g.vertex_count):
-            seen = [coloring.colors[tuple(sorted((v, w)))] for w in g.adjacency[v]]
+            row = g.targets[g.offsets[v] : g.offsets[v + 1]]
+            seen = [coloring.colors[tuple(sorted((v, w)))] for w in row]
             assert len(seen) == len(set(seen))
 
     def test_rejects_improper_input(self):

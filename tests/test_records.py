@@ -87,8 +87,6 @@ class TestGraph:
         assert g.edge_list() == [(0, 1), (1, 2), (2, 3)]
         assert list(g.slot_edges) == [0, 0, 1, 1, 2, 2]
         assert g.slot_edges is g.slot_edges
-        assert g.edges == frozenset(g.edge_list())
-        assert g.adjacency == ((1,), (0, 2), (1, 3), (2,))
         assert g.edge_id(3, 2) == 2
 
 
