@@ -220,30 +220,20 @@ def _generators(text: str) -> list[Fraction | int]:
     return gammas
 
 
+_SEARCHES = {
+    "vertex": oracle.min_percolating_vertices,
+    "star": oracle.min_percolating_edges_star,
+    "line": oracle.min_percolating_edges_line,
+}
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    kwargs: dict[str, object] = {"max_engine_calls": args.max_calls, "jobs": args.jobs}
-    if args.process == "vertex":
-        if args.cap is not None:
-            kwargs["max_vertices"] = args.cap
-        result = oracle.min_percolating_vertices(g, args.r, **kwargs)
-        witness: list = sorted(result.witness)
-    else:
-        if args.cap is not None:
-            kwargs["max_edges"] = args.cap
-        fn = (
-            oracle.min_percolating_edges_star
-            if args.process == "star"
-            else oracle.min_percolating_edges_line
-        )
-        result = fn(g, args.r, **kwargs)
-        witness = [list(e) for e in sorted(result.witness)]
-    payload = {
-        "minimum": result.minimum,
-        "witness": witness,
-        "engine_calls": result.engine_calls,
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    cap = args.cap
+    if cap is None:
+        cap = oracle.DEFAULT_VERTEX_CAP if args.process == "vertex" else oracle.DEFAULT_EDGE_CAP
+    result = _SEARCHES[args.process](g, args.r, cap, args.max_calls, args.jobs)
+    _emit(json.dumps(result._asdict()) + "\n", args.out)
     return 0
 
 

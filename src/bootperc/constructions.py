@@ -44,6 +44,11 @@ def reflect_region(points: Region | set[Point], mask: tuple[int, ...], n: int) -
     return frozenset(out)
 
 
+def _check_threshold(r: int) -> None:
+    if r < 0:
+        raise PreconditionError("threshold r must be nonnegative")
+
+
 def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
     """Minimum percolating vertex seed for the two-dimensional Hamming graph.
 
@@ -52,6 +57,7 @@ def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
     Size is floor((r+1)^2/4) and the set percolates at threshold r
     whenever n >= ceil(r/2)+1.
     """
+    _check_threshold(r)
     hi = -(-r // 2)  # ceil(r/2)
     lo = r // 2
     if n <= hi:
@@ -66,6 +72,7 @@ def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
 
 
 def _check_corner_args(n: int, r: int, d: int) -> None:
+    _check_threshold(r)
     if d < 2:
         raise PreconditionError("corner constructions need d >= 2")
     if n <= r:
@@ -147,6 +154,7 @@ def star_seed_complete(n: int, r: int) -> frozenset[Edge]:
     C(r+1, 2) edges; percolates the star process at threshold r for
     n >= r+1.
     """
+    _check_threshold(r)
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
     return frozenset((i, j) for i in range(r) for j in range(i + 1, r + 1))
@@ -157,20 +165,24 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
 
     Layer t (last coordinate = t) carries the dimension d-1 seed for
     threshold r-t, for t = 0..r-1; layers with r-t <= 0 are empty.
-    Total size is C(d+r, d+1).
+    Total size is C(d+r, d+1).  The seeds are built bottom-up, one
+    dimension at a time, so d is not bounded by the recursion limit.
     """
+    _check_threshold(r)
     if d < 1:
         raise PreconditionError("star seed needs d >= 1")
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
-    if d == 1:
-        return star_seed_complete(n, r)
-    out: set[Edge] = set()
-    for t in range(min(r, n)):
-        # vertex a of the (d-1)-dimensional layer sits at index a*n + t
-        for a, b in star_seed_hamming(n, r - t, d - 1):
-            out.add((a * n + t, b * n + t))
-    return frozenset(out)
+    # seeds[k]: the seed for threshold k, k = 0..r, of the current dimension
+    seeds = [star_seed_complete(n, k) for k in range(r + 1)]
+
+    def lift(k: int) -> list[Edge]:
+        # vertex a of the lower-dimensional layer t sits at index a*n + t
+        return [(a * n + t, b * n + t) for t in range(k) for a, b in seeds[k - t]]
+
+    for _ in range(d - 2):
+        seeds = [lift(k) for k in range(r + 1)]
+    return seeds[r] if d == 1 else frozenset(lift(r))
 
 
 def line_seed(n: int, r: int) -> frozenset[Edge]:
@@ -181,6 +193,7 @@ def line_seed(n: int, r: int) -> frozenset[Edge]:
     (n-3+2j-r/2, n-2+2j-r/2), j = 1..ceil(r/4), are added.  Simplicity
     is guaranteed by n >= ceil(r/2)+2 and asserted.
     """
+    _check_threshold(r)
     h = -(-r // 2)
     if n < h + 2:
         raise PreconditionError(f"need n >= ceil(r/2)+2, got n={n}, r={r}")

@@ -3,11 +3,8 @@
 Each search ascends through seed cardinalities and, within a
 cardinality, decides candidate sets in lexicographic order, so the
 returned witness is the lexicographically least percolating set of the
-least size.  Elements that provably can never be activated (degree too
-low for the threshold) are forced into every candidate, which is what
-makes instances like the 16-vertex Hamming graph feasible.  Edge
-searches run over edge ids, whose order is the lexicographic order of
-the edges, and report the witness as edge pairs.
+least size.  Edge searches run over edge ids, whose order is the
+lexicographic order of the edges, and report the witness as edge pairs.
 
 Sets of elements are Python ints, bit i standing for vertex or edge id
 i.  Each process is a list of rules (count mask, gain mask), read off
@@ -28,6 +25,12 @@ count mask meets a newly active element can newly fire, so each rule
 is filed under the elements of its count mask.  With r = 0 every rule
 fires and every closure is full.
 
+An element that no rule can add, even when every other element is
+active, belongs to every percolating set; these forced elements start
+every candidate, which is what makes instances like the 16-vertex
+Hamming graph feasible.  With all but x active, a rule (C, G) adds x
+when x is in G and |C| > r, or x is in G but not in C and |C| = r.
+
 Within a cardinality the candidates are walked depth first:
 
 * prefix reuse: a node of the walk carries the closure of the forced
@@ -46,8 +49,9 @@ handed to the engine: the number of candidates decided, in lexicographic
 order, up to and including the witness.  With ``jobs > 1`` a
 cardinality is split into chunks by its first free element, each chunk
 counts its candidates up to and including its own first witness, and
-the counts of all chunks are summed, so the total depends on whether
-jobs is 1 but not on the number of workers or their scheduling.
+the counts of the chunks up to and including the first one with a
+witness are summed: the same total as ``jobs = 1``, so ``engine_calls``
+does not depend on ``jobs``.
 
 The budget is checked per cardinality level before enumerating it:
 a level whose subset count would push the total past the budget raises
@@ -80,9 +84,8 @@ class SearchResult(NamedTuple):
 
     ``witness`` is the lexicographically least percolating seed of size
     ``minimum``.  ``engine_calls`` counts the candidate seeds decided in
-    lexicographic order up to and including the witness (with
-    ``jobs > 1``: summed over the chunks of each cardinality, see the
-    module docstring).
+    lexicographic order up to and including the witness, whatever
+    ``jobs`` is.
     """
 
     minimum: int
@@ -97,28 +100,41 @@ def _mask(ids) -> int:
     return out
 
 
-def _rules(g: Graph, r: int, process: str) -> _Rules:
+def _rules(g: Graph, r: int, process: str) -> tuple[_Rules, list[tuple[int, int]]]:
+    """The process's rules filed for :func:`_close`, and the flat list of them."""
     offsets = g.offsets
     if process == "vertex":
         targets = g.targets
         rows = [targets[offsets[v] : offsets[v + 1]] for v in range(g.vertex_count)]
         rule = [(_mask(row), 1 << v) for v, row in enumerate(rows)]
         watch = [[rule[w] for w in row] for row in rows]
-        return watch, r, (1 << g.vertex_count) - 1
+        return (watch, r, (1 << g.vertex_count) - 1), rule
     slot_edges = g.slot_edges
     rows = [slot_edges[offsets[x] : offsets[x + 1]] for x in range(g.vertex_count)]
     incident = [_mask(row) for row in rows]
     ends = list(zip(g.tails, g.heads))
     if process == "star":
-        star = [(m, m) for m in incident]
-        watch = [[star[u], star[v]] for u, v in ends]
+        rule = [(m, m) for m in incident]
+        watch = [[rule[u], rule[v]] for u, v in ends]
     else:
         rule = [(incident[u] | incident[v], 1 << e) for e, (u, v) in enumerate(ends)]
         watch = [
             [rule[f] for x in (u, v) for f in rows[x] if f != e]
             for e, (u, v) in enumerate(ends)
         ]
-    return watch, r, (1 << g.edge_count) - 1
+    return (watch, r, (1 << g.edge_count) - 1), rule
+
+
+def _forced(rules: list[tuple[int, int]], r: int, full: int) -> int:
+    """The elements no rule can add, even with every other element active."""
+    reachable = 0
+    for count, gain in rules:
+        slack = count.bit_count() - r
+        if slack > 0:
+            reachable |= gain
+        elif slack == 0:
+            reachable |= gain & ~count
+    return full & ~reachable
 
 
 def _close(rules: _Rules, active: int, fresh: int) -> int:
@@ -152,7 +168,8 @@ def _first(
     decided up to and including it (all of them, if none does).
 
     ``state`` is closed and not full, 1 <= need <= len(bits) - i, and
-    ``_bound(rules, suffix, state, i)`` holds: callers have checked it.
+    ``_bound(rules, suffix, state, i)`` holds: callers have checked it,
+    or i = 0, where ``state | suffix[0]`` is every element.
     """
     full = rules[2]
     n = len(bits)
@@ -200,18 +217,20 @@ def _chunk(
 
 
 def _search(
-    g: Graph,
-    r: int,
-    process: str,
-    mandatory: list[int],
-    max_engine_calls: int,
-    jobs: int,
+    g: Graph, r: int, process: str, cap: int, max_engine_calls: int, jobs: int
 ) -> SearchResult:
-    rules = _rules(g, r, process)
+    if r < 0:
+        raise PreconditionError("threshold r must be nonnegative")
+    if process == "vertex":
+        size, kind = g.vertex_count, "vertices"
+    else:
+        size, kind = g.edge_count, "edges"
+    if size > cap:
+        raise ResourceLimitError(f"{size} {kind} exceed the search cap {cap}")
+    rules, flat = _rules(g, r, process)
     full = rules[2]
-    base = tuple(sorted(mandatory))
-    forced = _mask(base)
-    free = [x for x in range(full.bit_length()) if not forced >> x & 1]
+    forced = _forced(flat, r, full)
+    free = [x for x in range(size) if not forced >> x & 1]
     bits = [1 << x for x in free]
     suffix = [0] * (len(free) + 1)
     for j in range(len(free) - 1, -1, -1):
@@ -230,10 +249,6 @@ def _search(
             if extra == 0:
                 found = () if start == full else None
                 calls += 1
-            elif not _bound(rules, suffix, start, 0):
-                # no candidate of this size percolates (nor any chunk's)
-                found = None
-                calls += comb(len(free), extra)
             elif jobs <= 1:
                 found, count = _first(rules, bits, suffix, start, 0, extra)
                 calls += count
@@ -249,25 +264,19 @@ def _search(
                 )
                 found = None
                 for chunk_found, count in results:
-                    calls += count
                     if found is None:
+                        calls += count
                         found = chunk_found
             if found is not None:
-                witness = tuple(sorted(base + tuple(free[j] for j in found)))
+                seed = forced | _mask(free[j] for j in found)
+                witness = tuple(x for x in range(size) if seed >> x & 1)
+                if process != "vertex":
+                    witness = tuple((g.tails[e], g.heads[e]) for e in witness)
                 return SearchResult(len(witness), witness, calls)
     finally:
         if pool is not None:
             pool.shutdown()
     raise AssertionError("the full element set always percolates")
-
-
-def _edge_search(
-    g: Graph, r: int, process: str, mandatory: list[int], max_engine_calls: int, jobs: int
-) -> SearchResult:
-    """Search over edge ids, whose order is the edges' lexicographic order."""
-    ids = _search(g, r, process, mandatory, max_engine_calls, jobs)
-    witness = tuple((g.tails[e], g.heads[e]) for e in ids.witness)
-    return SearchResult(ids.minimum, witness, ids.engine_calls)
 
 
 def min_percolating_vertices(
@@ -277,19 +286,8 @@ def min_percolating_vertices(
     max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
     jobs: int = 1,
 ) -> SearchResult:
-    """Exact minimum size of a percolating vertex seed, with a witness.
-
-    Vertices of degree below r can never activate and are forced into
-    every candidate.
-    """
-    if r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
-    if g.vertex_count > max_vertices:
-        raise ResourceLimitError(
-            f"{g.vertex_count} vertices exceed the search cap {max_vertices}"
-        )
-    mandatory = [v for v in range(g.vertex_count) if g.degree(v) < r]
-    return _search(g, r, "vertex", mandatory, max_engine_calls, jobs)
+    """Exact minimum size of a percolating vertex seed, with a witness."""
+    return _search(g, r, "vertex", max_vertices, max_engine_calls, jobs)
 
 
 def min_percolating_edges_star(
@@ -299,21 +297,8 @@ def min_percolating_edges_star(
     max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
     jobs: int = 1,
 ) -> SearchResult:
-    """Exact minimum size of a star-process edge seed, with a witness.
-
-    An edge is forced into every candidate when neither endpoint can
-    ever carry r other active edges (degree - 1 < r at both ends).
-    """
-    if r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
-    if g.edge_count > max_edges:
-        raise ResourceLimitError(f"{g.edge_count} edges exceed the search cap {max_edges}")
-    mandatory = [
-        e
-        for e, (u, v) in enumerate(zip(g.tails, g.heads))
-        if g.degree(u) - 1 < r and g.degree(v) - 1 < r
-    ]
-    return _edge_search(g, r, "star", mandatory, max_engine_calls, jobs)
+    """Exact minimum size of a star-process edge seed, with a witness."""
+    return _search(g, r, "star", max_edges, max_engine_calls, jobs)
 
 
 def min_percolating_edges_line(
@@ -323,18 +308,5 @@ def min_percolating_edges_line(
     max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
     jobs: int = 1,
 ) -> SearchResult:
-    """Exact minimum size of a line-process edge seed, with a witness.
-
-    An edge is forced into every candidate when even with everything
-    else active its endpoints' incident counts stay below r.
-    """
-    if r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
-    if g.edge_count > max_edges:
-        raise ResourceLimitError(f"{g.edge_count} edges exceed the search cap {max_edges}")
-    mandatory = [
-        e
-        for e, (u, v) in enumerate(zip(g.tails, g.heads))
-        if (g.degree(u) - 1) + (g.degree(v) - 1) < r
-    ]
-    return _edge_search(g, r, "line", mandatory, max_engine_calls, jobs)
+    """Exact minimum size of a line-process edge seed, with a witness."""
+    return _search(g, r, "line", max_edges, max_engine_calls, jobs)

@@ -105,6 +105,14 @@ class TestConstructSimulate:
         assert captured.out == out
         assert captured.err == "size=4\n"
 
+    def test_star_seed_of_high_dimension(self, capsys):
+        # one edge, lifted through 1999 dimensions
+        argv = ["construct", "--family", "star", "--n", "2", "--r", "1", "--d", "2000"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"e 0 {2**1999}\n"
+        assert captured.err == "size=1\n"
+
     def test_simulate_rejects_mismatched_seed_kind(self, tmp_path, capsys):
         seed_path = tmp_path / "seed.txt"
         seed_path.write_text("e 0 1\n")
@@ -194,7 +202,7 @@ class TestSearch:
             ),
             (
                 ["Hamming:5,2", "--r", "4", "--process", "vertex", "--jobs", "2"],
-                '{"minimum": 6, "witness": [0, 1, 5, 7, 11, 18], "engine_calls": 85359}\n',
+                '{"minimum": 6, "witness": [0, 1, 5, 7, 11, 18], "engine_calls": 72621}\n',
             ),
         ],
         ids=["H32-star", "K6-star", "K6-line", "LineK6-vertex", "H52-jobs1", "H52-jobs2"],
@@ -266,6 +274,22 @@ class TestExitCodes:
         reason = json.loads(capsys.readouterr().err)
         assert reason["error"] == "PreconditionError"
         assert "r+1" in reason["reason"]
+
+    @pytest.mark.parametrize(
+        "family,n,r,d",
+        [("v2", 3, -2, None), ("a", 3, -2, 2), ("c", 3, -2, 3), ("star", 3, -1, 2),
+         ("line", 5, -3, None)],
+        ids=["v2", "a", "c", "star", "line"],
+    )
+    def test_negative_threshold_is_exit_1(self, capsys, family, n, r, d):
+        argv = ["construct", "--family", family, "--n", str(n), "--r", str(r)]
+        assert main(argv + ([] if d is None else ["--d", str(d)])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "PreconditionError",
+            "reason": "threshold r must be nonnegative",
+        }
 
     def test_missing_file_is_exit_1(self, capsys):
         rc = main(["dimw", "/no/such/file", "--r", "2"])

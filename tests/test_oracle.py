@@ -1,10 +1,13 @@
 import concurrent.futures
 import os
+import random
 import time
 from itertools import combinations
 from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc.constructions import carved_corner_set
 from bootperc.engine import is_percolating_edges_star, is_percolating_vertices
@@ -21,7 +24,13 @@ from bootperc.oracle import (
     min_percolating_vertices,
 )
 
-from conftest import RecordingExecutor
+from conftest import RecordingExecutor, random_graph
+
+SEARCHES = {
+    "vertex": min_percolating_vertices,
+    "star": min_percolating_edges_star,
+    "line": min_percolating_edges_line,
+}
 
 
 class TestVertexSearch:
@@ -174,13 +183,28 @@ class TestParallelSearch:
         assert (result.minimum, result.witness, result.engine_calls) == (
             6,
             (0, 1, 5, 7, 11, 18),
-            85359,
+            72621,
         )
         # several levels ran in parallel, all on the one pool
         assert len(RecordingExecutor.tasks) > 1
         assert RecordingExecutor.created == [
             min(os.cpu_count() or 1, RecordingExecutor.tasks[0])
         ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(sorted(SEARCHES)), st.integers(0, 4))
+    def test_results_do_not_depend_on_jobs(self, seed, process, r):
+        g = random_graph(random.Random(seed))
+        search = SEARCHES[process]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+            outcomes = []
+            for jobs in (1, 3):
+                try:
+                    outcomes.append(search(g, r, jobs=jobs))
+                except ResourceLimitError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_no_pool_without_a_parallel_level(self, monkeypatch):
         RecordingExecutor.reset()
