@@ -117,8 +117,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_printable(n: int, d: int) -> None:
+    """Refuse a seed whose vertex ids, below n^d, may have more digits than str() writes."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if n < 2 or limit == 0:
+        return
+    bound, size = 10**limit, 1
+    for _ in range(d):  # stops within 4*limit steps, whatever d is
+        size *= n
+        if size > bound:
+            raise ResourceLimitError(
+                f"vertex ids of [0,{n})^{d} would have more than {limit} digits, "
+                "the most an integer is printed with"
+            )
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     process, d, build = _family(args.family, args.d)
+    _check_printable(args.n, d)
     seed = build(args.n, args.r, d)
     vertices, edges = (seed, ()) if process == "vertex" else ((), seed)
     _emit(seed_to_text(vertices, edges), args.out)

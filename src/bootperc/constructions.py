@@ -14,12 +14,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
-from bootperc.errors import PreconditionError
-from bootperc.graphs import Edge, HammingSpace
+from bootperc.errors import PreconditionError, ResourceLimitError
+from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, HammingSpace
 
 Point = tuple[int, ...]
 Region = frozenset[Point]
+
+# Building a corner set peaks at 65-325 bytes per counted point (measured
+# for d = 2..21: the mask and point tuples, the reflected copies, the
+# final set), as much as 4-22 CSR slots, so the graphs' slot cap admits a
+# sixteenth as many points: at most about 400 MB.
+_CORNER_POINT_CAP = DEFAULT_SLOT_CAP // 16
 
 
 def corner_masks(d: int) -> list[tuple[int, ...]]:
@@ -77,6 +84,17 @@ def _check_corner_args(n: int, r: int, d: int) -> None:
         raise PreconditionError("corner constructions need d >= 2")
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
+    # The corner set reflects the C(s-1+d, d) points of the simplex region
+    # to 2^(d-1) corners, and enumerates the masks even when the region is
+    # empty.  Counted before anything is enumerated; 2^(d-1) and the
+    # binomial are computed only when 2^(d-1) can be under the cap.
+    s = -(-r // 2)
+    few_masks = d <= _CORNER_POINT_CAP.bit_length()
+    if not few_masks or 2 ** (d - 1) * max(1, comb(s - 1 + d, d)) > _CORNER_POINT_CAP:
+        raise ResourceLimitError(
+            f"corner construction would enumerate 2^{d - 1} corner masks times "
+            f"C({s - 1 + d},{d}) region points (cap {_CORNER_POINT_CAP} points)"
+        )
 
 
 def simplex_region(n: int, r: int, d: int) -> Region:

@@ -18,6 +18,12 @@ sorted.  Edges have integer ids in lexicographic order of their
 each row of slot_edges is sorted too.  Every builder checks the size of
 the rows, vertex_count + 2*edge_count slots, against one cap before it
 allocates anything.
+
+Hamming rows are not built vertex by vertex.  Where coordinate i's
+neighbors sit in a row depends only on the coordinates before i, so
+make_hamming fills, for each such prefix and each digit c, the matching
+slot of every row under the prefix with one strided slice assignment
+from the run of vertices whose coordinate i is c.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, product, repeat
+from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable
 
@@ -34,9 +40,9 @@ from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
 Edge = tuple[int, int]
 
 # Rows take 4 bytes per slot and derived edge ids 8 more; deriving them
-# peaks near 16 bytes per slot (Hamming(12,5): 13.9M slots, 225 MB), so
-# about 320 MB at the cap.  The cap also keeps every offset, vertex and
-# edge id inside the 32-bit typecode.
+# peaks near 15 bytes per slot (Hamming(12,5): 13.9M slots, 205 MB over
+# the interpreter's own 20 MB), so about 300 MB at the cap.  The cap also
+# keeps every offset, vertex and edge id inside the 32-bit typecode.
 DEFAULT_SLOT_CAP = 20_000_000
 _INT = "i"
 
@@ -119,7 +125,7 @@ class Graph:
             degree[v] += 1
         offsets = _offsets(degree)
         cursor = offsets[:-1]
-        targets = array(_INT, bytes(offsets.itemsize * offsets[-1]))
+        targets = array(_INT, [0]) * offsets[-1]
         # in lexicographic order a row receives its smaller neighbors
         # first, ascending, then its larger ones: rows come out sorted
         for u, v in pairs:
@@ -152,7 +158,7 @@ class Graph:
             heads += targets[k:end]
             tails += array(_INT, [x]) * (end - k)
         ids = array(_INT, range(len(heads)))
-        slots = array(_INT, bytes(targets.itemsize * len(targets)))
+        slots = array(_INT, [0]) * len(targets)
         first = 0
         for k, end in zip(splits, offsets[1:]):
             slots[k:end] = ids[first : first + end - k]
@@ -297,11 +303,16 @@ def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph
     """Hamming graph on [0,n)^d: vertices adjacent iff they differ in one coordinate.
 
     Writes the rows directly from the codec's strides rather than via
-    iterated products, so the two constructions can be cross-checked:
-    coordinate i has stride s_i = n^(d-1-i), and row x lists the smaller
-    neighbors coordinate by coordinate, most significant first, then the
-    larger ones, least significant first.  Every run is a slice with
-    step s_i of the vertex list, so the rows come out sorted.
+    iterated products, so the two constructions can be cross-checked.
+    Row x = (p_0, ..., p_{d-1}) lists the smaller neighbors coordinate by
+    coordinate, most significant first, then the larger ones, least
+    significant first, so the rows come out sorted.  The slots of
+    coordinate i depend only on the prefix p_0..p_{i-1}: with t its digit
+    sum, the neighbor with digit c sits at slot t + c when c < p_i and at
+    t + (d-1-i)(n-1) + c - 1 when c > p_i.  So for each prefix and digit c
+    the vertices under the prefix with digit c, one run of s_i = n^(d-1-i)
+    consecutive ids, are copied with one strided slice assignment into
+    that slot of every row that sees them: about two copies per vertex.
 
     Raises ResourceLimitError, before allocating, when the graph needs
     more than ``slot_cap`` CSR slots.
@@ -315,14 +326,24 @@ def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph
         _check_slots("Hamming graph", size, 0, slot_cap)  # before n**d can grow huge
     degree = d * (n - 1)
     _check_slots("Hamming graph", size, size * degree // 2, slot_cap)
-    strides = [n ** (d - 1 - i) for i in range(d)]
-    vertices = list(range(size))
-    targets = array(_INT)
-    for x, point in enumerate(product(range(n), repeat=d)):
-        for s, p in zip(strides, point):
-            targets.fromlist(vertices[x - p * s : x : s])
-        for s, p in zip(reversed(strides), reversed(point)):
-            targets.fromlist(vertices[x + s : x + (n - p) * s : s])
+    ids = array(_INT, range(size))
+    targets = array(_INT, [0]) * (size * degree)
+    sums = [0]  # digit sums of the length-i prefixes, in index order
+    for i in range(d):
+        s = n ** (d - 1 - i)
+        larger = (d - 1 - i) * (n - 1) - 1
+        for prefix, t in enumerate(sums):
+            first = prefix * n * s  # the first vertex under the prefix
+            end = (first + n * s) * degree
+            for c in range(n):
+                run = ids[first + c * s : first + (c + 1) * s]
+                if c < n - 1:  # rows whose digit i is above c: a smaller neighbor
+                    lo = (first + (c + 1) * s) * degree + t + c
+                    targets[lo:end:degree] = run * (n - 1 - c)
+                if c:  # rows whose digit i is below c: a larger neighbor
+                    lo = first * degree + t + larger + c
+                    targets[lo : (first + c * s) * degree : degree] = run * c
+        sums = [t + c for t in sums for c in range(n)]
     return Graph(size, _offsets(repeat(degree, size)), targets)
 
 

@@ -16,6 +16,25 @@ from bootperc.graphs import graph_to_text, make_complete, make_hamming, HammingS
 from conftest import RecordingExecutor
 
 
+def run_with_capped_memory(argv):
+    """Run ``python -m bootperc ARGV`` in a child limited to 512 MiB of address space."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    started = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "bootperc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    return run, time.perf_counter() - started
+
+
 class TestLoadGraph:
     def test_families(self):
         assert load_graph("Kn:4") == make_complete(4)
@@ -360,21 +379,44 @@ class TestRejectedInput:
     @pytest.mark.parametrize("n,r,d", [(60, 59, 8), (2, 1, 40)])
     def test_verify_refuses_before_enumerating(self, n, r, d):
         # enumerating either seed takes gigabytes, so run it in a child with capped memory
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-
-        src = Path(__file__).resolve().parent.parent / "src"
         argv = ["verify", "--family", "a", "--n", str(n), "--r", str(r), "--d", str(d)]
-        run = subprocess.run(
-            [sys.executable, "-m", "bootperc", *argv],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=cap_memory,
-        )
+        run, _ = run_with_capped_memory(argv)
         assert run.returncode == 1
         assert json.loads(run.stderr)["error"] == "ResourceLimitError"
+
+    def test_corner_seed_of_high_dimension(self, capsys):
+        # 2^1999 corner masks, and a region 2000 levels deep
+        argv = ["construct", "--family", "c", "--n", "2", "--r", "1", "--d", "2000"]
+        rc, reason, elapsed = self.run(argv, capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--family", "a", "--n", "2", "--r", "1", "--d", "40"],
+            ["table", "--d", "40", "--rmax", "1"],
+            ["verify", "--family", "a", "--n", "1", "--r", "0", "--d", "2000"],
+        ],
+        ids=["construct", "table", "verify-one-vertex"],
+    )
+    def test_corner_masks_are_counted_before_enumerating(self, argv):
+        # 2^39 or 2^1999 masks would exhaust memory, so run in a child with capped memory;
+        # the one-vertex graph of the verify case passes the slot guard
+        run, elapsed = run_with_capped_memory(argv)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert json.loads(run.stderr)["error"] == "ResourceLimitError"
+        assert elapsed < 1.0
+
+    def test_unprintable_vertex_ids(self, capsys):
+        # ids below 2^15000 have up to 4516 digits, past str()'s default 4300
+        argv = ["construct", "--family", "star", "--n", "2", "--r", "1", "--d", "15000"]
+        rc, reason, elapsed = self.run(argv, capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert "4300 digits" in reason["reason"]
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("token", ["1/0", "x"])
     def test_bad_generator(self, capsys, token):

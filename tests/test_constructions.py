@@ -1,9 +1,12 @@
 import random
+import time
+import tracemalloc
 from math import ceil, comb
 
 import pytest
 
 from bootperc.constructions import (
+    _check_corner_args,
     carved_corner_set,
     carved_region,
     corner_masks,
@@ -17,7 +20,7 @@ from bootperc.constructions import (
     vertex_seed_dim2,
 )
 from bootperc.engine import percolate_vertices
-from bootperc.errors import PreconditionError
+from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import HammingSpace, make_hamming
 
 
@@ -183,6 +186,43 @@ class TestCornerSets:
         for mask in corner_masks(d):
             reflected = reflect_region({sp.decode(i) for i in final}, mask, n)
             assert {sp.encode(p) for p in reflected} == final
+
+
+class TestCornerGuard:
+    """Corner constructions count their points before enumerating any."""
+
+    @pytest.mark.parametrize(
+        "build", [simplex_region, inner_cut_region, carved_region, simplex_corner_set,
+                  carved_corner_set]
+    )
+    @pytest.mark.parametrize("n,r,d", [(2, 1, 2000), (2, 1, 40), (1, 0, 2000), (2, 1, 10**9)])
+    def test_refused_before_enumerating(self, build, n, r, d):
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ResourceLimitError, match="corner masks"):
+                build(n, r, d)
+            assert time.perf_counter() - started < 1.0
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+
+    def test_refuses_many_region_points(self):
+        # 2 * C(1202, 2) = 1443602 points are refused; 2 * C(1002, 2) = 1003002 pass
+        with pytest.raises(ResourceLimitError, match="region points"):
+            simplex_corner_set(2402, 2401, 2)
+        _check_corner_args(2002, 2001, 2)
+
+    def test_preconditions_come_first(self):
+        with pytest.raises(PreconditionError):
+            simplex_corner_set(2, 2, 2000)
+
+    def test_admits_every_table_row_up_to_r30_at_d6(self):
+        # r = 29 and 30 count 2^5 * C(20, 6) = 1240320 points, under the cap
+        for r in range(1, 31):
+            _check_corner_args(r + 1, r, 6)
+        with pytest.raises(ResourceLimitError):
+            _check_corner_args(32, 31, 6)  # 2^5 * C(21, 6) = 1736448 points
 
 
 class TestStarSeeds:

@@ -18,6 +18,7 @@ from bootperc.graphs import (
 )
 
 from conftest import random_graph
+from reference_graphs import make_hamming as reference_make_hamming
 
 
 class TestGraphBasics:
@@ -123,15 +124,32 @@ class TestHammingGraph:
     def test_dim1_is_complete(self):
         assert make_hamming(HammingSpace(6, 1)) == make_complete(6)
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    @pytest.mark.parametrize("d", range(1, 4))
-    def test_matches_iterated_product(self, n, d):
+    @pytest.mark.parametrize(
+        "d,n",
+        [(d, n) for d in range(1, 4) for n in range(1, 6)] + [(4, n) for n in range(1, 4)],
+        ids=str,
+    )
+    def test_matches_iterated_product(self, d, n):
         g = make_hamming(HammingSpace(n, d))
         h = make_complete(n)
         for _ in range(d - 1):
             h = cartesian_product(h, make_complete(n))
         assert g == h
         assert all(g.degree(v) == d * (n - 1) for v in range(g.vertex_count))
+
+    @pytest.mark.parametrize("d", range(1, 14))
+    def test_matches_reference_on_every_small_instance(self, d):
+        # every n whose graph has at most 2e5 slots: n = 1 always, n = 2 up to d = 13
+        n = 1
+        while n**d * (1 + d * (n - 1)) <= 200_000:
+            space = HammingSpace(n, d)
+            assert make_hamming(space) == reference_make_hamming(space), (n, d)
+            n += 1
+
+    @pytest.mark.parametrize("n,d", [(9, 5), (20, 3)])
+    def test_matches_reference_on_the_benchmarked_instances(self, n, d):
+        space = HammingSpace(n, d)
+        assert make_hamming(space) == reference_make_hamming(space)
 
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
