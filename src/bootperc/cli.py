@@ -180,8 +180,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _table_row(payload: tuple[int, int, int]) -> list:
     d, r, n = payload
-    lower, upper = formulas.min_seed_hamming_bounds(n, r, d)
+    # the carved set first: its corner guard refuses a huge d before the
+    # bounds compute d! and (r+2d-1)^d
     size = len(constructions.carved_corner_set(n, r, d))
+    lower, upper = formulas.min_seed_hamming_bounds(n, r, d)
     if d == 2:
         exact: object = formulas.min_seed_hamming_dim2(n, r)
     elif r == 1:

@@ -70,12 +70,10 @@ def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
     if n <= hi:
         raise PreconditionError(f"need n >= ceil(r/2)+1, got n={n}, r={r}")
     space = HammingSpace(n, 2)
-    out = set()
-    for x in range(n):
-        for y in range(n):
-            if x + (n - 1 - y) < hi or (n - 1 - x) + y < lo:
-                out.add(space.encode((x, y)))
-    return frozenset(out)
+    # a + b < s for the distances a, b to a corner: O(r^2) points, whatever n is
+    first = ((a, n - 1 - b) for a in range(hi) for b in range(hi - a))
+    second = ((n - 1 - a, b) for a in range(lo) for b in range(lo - a))
+    return frozenset(space.encode(p) for corner in (first, second) for p in corner)
 
 
 def _check_corner_args(n: int, r: int, d: int) -> None:

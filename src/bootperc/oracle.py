@@ -43,6 +43,21 @@ Within a cardinality the candidates are walked depth first:
   once without being visited.  The sets bounding a node's children
   shrink from each child to the next, so the first child whose bound
   fails decides every later sibling as well.
+* lane-sliced leaves: once the candidates a node has left, the
+  k-subsets of the free positions j..n-1 for the k elements still to
+  choose, number at most ``_LANES``, one closure decides all of them at
+  once (bit-slicing, as in Biham's software DES).  Each element gets an
+  int whose bit c, lane c, says whether the element is active in the
+  c-th of these candidates in lexicographic order: all ones for the
+  elements of the node's closure and, for a free position y, the lanes
+  of the candidates holding y (the lane tables of :func:`_lanes`).  A
+  rule fires in the lanes where at least r of its count elements are
+  set, found by a carry chain over its count elements, and ORs those
+  lanes into its gain elements; sweeps repeat the rules whose count
+  elements grew until no int changes, which is the least fixpoint in
+  every lane.  The AND of all the ints holds the lanes that percolate:
+  the lowest, c, is the witness and c + 1 the count of candidates
+  decided; with none, all of them are decided.
 
 ``engine_calls`` keeps the meaning it had when every candidate was
 handed to the engine: the number of candidates decided, in lexicographic
@@ -63,7 +78,8 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import and_, or_
 from math import comb
 from typing import NamedTuple
 
@@ -74,9 +90,22 @@ DEFAULT_ENGINE_CALL_BUDGET = 10_000_000
 DEFAULT_VERTEX_CAP = 25
 DEFAULT_EDGE_CAP = 20
 
-# (watch, r, full): watch[i] lists the rules (count, gain) whose count
-# mask holds element i; full is the mask of every element
-_Rules = tuple[list[list[tuple[int, int]]], int, int]
+# Subtrees of at most this many candidates are decided by one bit-sliced
+# closure (:func:`_leaf`), one lane per candidate.
+_LANES = 1 << 15
+
+# (watch, r, full, sliced, tables): watch[i] lists the rules (count mask,
+# gain mask) whose count mask holds element i; full is the mask of every
+# element; sliced lists every rule as (count ids, gain ids, the other
+# rules whose count holds a gain id), for :func:`_leaf`; tables holds the
+# lane tables :func:`_lanes` has built so far in this search
+_Rules = tuple[
+    list[list[tuple[int, int]]],
+    int,
+    int,
+    list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]],
+    list[list[int]],
+]
 
 
 class SearchResult(NamedTuple):
@@ -101,28 +130,38 @@ def _mask(ids) -> int:
 
 
 def _rules(g: Graph, r: int, process: str) -> tuple[_Rules, list[tuple[int, int]]]:
-    """The process's rules filed for :func:`_close`, and the flat list of them."""
+    """The process's rules filed for :func:`_close` and :func:`_leaf`, and
+    the flat list of their (count mask, gain mask)."""
     offsets = g.offsets
     if process == "vertex":
         targets = g.targets
-        rows = [targets[offsets[v] : offsets[v + 1]] for v in range(g.vertex_count)]
-        rule = [(_mask(row), 1 << v) for v, row in enumerate(rows)]
-        watch = [[rule[w] for w in row] for row in rows]
-        return (watch, r, (1 << g.vertex_count) - 1), rule
-    slot_edges = g.slot_edges
-    rows = [slot_edges[offsets[x] : offsets[x + 1]] for x in range(g.vertex_count)]
-    incident = [_mask(row) for row in rows]
-    ends = list(zip(g.tails, g.heads))
-    if process == "star":
-        rule = [(m, m) for m in incident]
-        watch = [[rule[u], rule[v]] for u, v in ends]
+        size = g.vertex_count
+        ids = [(tuple(targets[offsets[v] : offsets[v + 1]]), (v,)) for v in range(size)]
     else:
-        rule = [(incident[u] | incident[v], 1 << e) for e, (u, v) in enumerate(ends)]
-        watch = [
-            [rule[f] for x in (u, v) for f in rows[x] if f != e]
-            for e, (u, v) in enumerate(ends)
-        ]
-    return (watch, r, (1 << g.edge_count) - 1), rule
+        slot_edges = g.slot_edges
+        rows = [tuple(slot_edges[offsets[x] : offsets[x + 1]]) for x in range(g.vertex_count)]
+        size = g.edge_count
+        if process == "star":
+            ids = [(row, row) for row in rows]
+        else:
+            ids = [
+                (rows[u] + tuple(f for f in rows[v] if f != e), (e,))
+                for e, (u, v) in enumerate(zip(g.tails, g.heads))
+            ]
+    rule = [(_mask(count), _mask(gain)) for count, gain in ids]
+    readers: list[list[int]] = [[] for _ in range(size)]
+    for k, (count, _) in enumerate(ids):
+        for x in count:
+            readers[x].append(k)
+    # a rule that can add only x adds nothing once x is active
+    watch = [[rule[k] for k in ks if ids[k][1] != (x,)] for x, ks in enumerate(readers)]
+    # a rule fires only where its count is met, so its own gain never
+    # widens the lanes it fires in
+    sliced = [
+        (count, gain, tuple(sorted({j for x in gain for j in readers[x]} - {k})))
+        for k, (count, gain) in enumerate(ids)
+    ]
+    return (watch, r, (1 << size) - 1, sliced, []), rule
 
 
 def _forced(rules: list[tuple[int, int]], r: int, full: int) -> int:
@@ -139,7 +178,7 @@ def _forced(rules: list[tuple[int, int]], r: int, full: int) -> int:
 
 def _close(rules: _Rules, active: int, fresh: int) -> int:
     """The closure of ``active``, given that ``active & ~fresh`` is closed."""
-    watch, r, full = rules
+    watch, r, full, _, _ = rules
     if not r:
         return full
     while fresh:
@@ -160,6 +199,114 @@ def _bound(rules: _Rules, suffix: list[int], state: int, j: int) -> bool:
     return _close(rules, state | rest, rest & ~state) == rules[2]
 
 
+def _lanes(tables: list[list[int]], n: int, m: int, t: int) -> list[int]:
+    """The lane table T(m, t), for m <= n and C(m, t) <= _LANES: bit c of
+    entry y is set when y is in the c-th t-subset of range(m), in
+    lexicographic order.
+
+    The subsets holding 0 come first, then those without it, so
+    T(m, t) = [ones(C(m-1, t-1))] + [a | b << C(m-1, t-1) for a, b in
+    zip(T(m-1, t-1), T(m-1, t))], where T(t-1, t) has no lanes.  The
+    subsets that avoid positions 0..k-1 are the last C(m-k, t) lanes, so
+    T(m-k, t) is T(m, t) without its first k entries and shifted right
+    by C(m, t) - C(m-k, t).  ``tables[t]`` keeps T(M, t) for the largest
+    M <= n with C(M, t) <= _LANES, and every other T(m, t) is cut from it.
+    """
+    while len(tables) <= t:
+        s = len(tables)
+        if not s:
+            tables.append([0] * n)  # T(n, 0): one lane, the empty set
+            continue
+        top = [0] * (s - 1)
+        for k in range(s, n + 1):
+            if comb(k, s) > _LANES:
+                break
+            split = comb(k - 1, s - 1)
+            low = _lanes(tables, n, k - 1, s - 1)
+            top = [(1 << split) - 1] + [a | b << split for a, b in zip(low, top)]
+        tables.append(top)
+    top = tables[t]
+    shift = comb(len(top), t) - comb(m, t)
+    return [x >> shift for x in top[len(top) - m :]]
+
+
+def _unrank(m: int, t: int, c: int) -> tuple[int, ...]:
+    """The c-th t-subset of range(m) in lexicographic order."""
+    out = []
+    for y in range(m):
+        if not t:
+            break
+        first = comb(m - y - 1, t - 1)  # the subsets, from here on, that pick y
+        if c < first:
+            out.append(y)
+            t -= 1
+        else:
+            c -= first
+    return tuple(out)
+
+
+def _leaf(
+    rules: _Rules, bits: list[int], state: int, i: int, need: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """:func:`_first` by one closure of every candidate at once: element x
+    gets an int whose bit c says whether x is active in candidate c."""
+    _, r, full, sliced, tables = rules
+    m = len(bits) - i
+    count = comb(m, need)
+    ones = (1 << count) - 1
+    value = [ones if state >> x & 1 else 0 for x in range(full.bit_length())]
+    for bit, lanes in zip(bits[i:], _lanes(tables, len(bits), m, need)):
+        if not state & bit:
+            value[bit.bit_length() - 1] = lanes
+    dirty = bytearray([1]) * len(sliced)
+    while any(dirty):
+        for k, (counted, gain, wake) in enumerate(sliced):
+            if not dirty[k]:
+                continue
+            dirty[k] = 0
+            for x in gain:
+                if value[x] != ones:
+                    break
+            else:
+                continue  # every gain element is active in every lane
+            # fired: the lanes where at least r counted elements are active
+            counts = [value[x] for x in counted]
+            short = r - counts.count(ones)
+            if short <= 0:
+                fired = ones
+            else:
+                live = [v for v in counts if v and v != ones]
+                spare = len(live) - short
+                if spare < 0:
+                    continue
+                # carry chain: row[k] holds the lanes where more than j of
+                # live[:j + k + 1] are active; a lane that can no longer
+                # reach r is not followed
+                row = list(accumulate(live[: spare + 1], or_))
+                for j in range(1, short):
+                    row = list(accumulate(map(and_, row, live[j : j + spare + 1]), or_))
+                fired = row[-1]
+                if not fired:
+                    continue
+            grew = False
+            for x in gain:
+                v = value[x]
+                after = v | fired
+                if after != v:
+                    value[x] = after
+                    grew = True
+            if grew:
+                for w in wake:
+                    dirty[w] = 1
+    hit = ones
+    for v in value:
+        hit &= v
+    if not hit:
+        return None, count
+    c = (hit & -hit).bit_length() - 1
+    return tuple(i + y for y in _unrank(m, need, c)), c + 1
+
+
 def _first(
     rules: _Rules, bits: list[int], suffix: list[int], state: int, i: int, need: int
 ) -> tuple[tuple[int, ...] | None, int]:
@@ -171,19 +318,16 @@ def _first(
     ``_bound(rules, suffix, state, i)`` holds: callers have checked it,
     or i = 0, where ``state | suffix[0]`` is every element.
     """
-    full = rules[2]
     n = len(bits)
-    if need == 1:
-        for j in range(i, n):
-            bit = bits[j]
-            if not state & bit and _close(rules, state | bit, bit) == full:
-                return (j,), j - i + 1
-        return None, n - i
     decided = 0
     for j in range(i, n - need + 1):
         if j > i and not _bound(rules, suffix, state, j):
             # the bounds shrink with j: no later candidate percolates either
             return None, decided + comb(n - j, need)
+        if comb(n - j, need) <= _LANES:
+            # the candidates left are the need-subsets of j..n-1: decide them at once
+            found, count = _leaf(rules, bits, state, j, need)
+            return found, decided + count
         found, count = _branch(rules, bits, suffix, state, j, need - 1)
         decided += count
         if found is not None:

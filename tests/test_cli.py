@@ -153,6 +153,15 @@ class TestConstructSimulate:
         assert trace["rounds"] == [[[0, 2], [1, 3]], [[0, 1], [1, 2]]]
         assert trace["percolated"] is True
 
+    def test_v2_seed_of_huge_alphabet(self, capsys):
+        # the two corners are listed directly, not found among the n^2 points
+        started = time.perf_counter()
+        rc = main(["construct", "--family", "v2", "--n", "100000", "--r", "1"])
+        elapsed = time.perf_counter() - started
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (0, "v 99999\n", "size=1\n")
+        assert elapsed < 1.0
+
 
 class TestDimw:
     def test_frozen_value(self, capsys):
@@ -407,6 +416,13 @@ class TestRejectedInput:
         run, elapsed = run_with_capped_memory(argv)
         assert (run.returncode, run.stdout) == (1, "")
         assert json.loads(run.stderr)["error"] == "ResourceLimitError"
+        assert elapsed < 1.0
+
+    def test_table_of_huge_dimension(self, capsys):
+        # the corner guard refuses d = 10^6 before the bounds compute d!
+        rc, reason, elapsed = self.run(["table", "--d", "1000000", "--rmax", "1"], capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
         assert elapsed < 1.0
 
     def test_unprintable_vertex_ids(self, capsys):

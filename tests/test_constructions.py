@@ -96,6 +96,23 @@ class TestVertexSeedDim2:
         tr = percolate_vertices(g, 3, vertex_seed_dim2(4, 3))
         assert len(tr.final) == 16
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_full_scan(self, n):
+        space = HammingSpace(n, 2)
+        for r in range(2 * n):
+            hi, lo = -(-r // 2), r // 2
+            if n <= hi:
+                with pytest.raises(PreconditionError):
+                    vertex_seed_dim2(n, r)
+                continue
+            scan = {
+                space.encode((x, y))
+                for x in range(n)
+                for y in range(n)
+                if x + (n - 1 - y) < hi or (n - 1 - x) + y < lo
+            }
+            assert vertex_seed_dim2(n, r) == scan
+
 
 class TestRegions:
     def test_simplex_freeze(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootperc import oracle
 from bootperc.constructions import carved_corner_set
 from bootperc.engine import is_percolating_edges_star, is_percolating_vertices
 from bootperc.errors import ResourceLimitError
@@ -102,6 +103,53 @@ class TestVertexSearch:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             min_percolating_vertices(make_hamming(HammingSpace(4, 2)), 3, max_engine_calls=100)
+
+
+class TestHammingDim3:
+    # pinned from the oracle before subtrees were decided lane by lane;
+    # both searches cross from the walk into lane-sliced subtrees
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize(
+        "r,expected",
+        [
+            (3, (6, (0, 1, 2, 12, 16, 22), 103195)),
+            (4, (9, (0, 1, 3, 5, 9, 13, 17, 20, 24), 3679974)),
+        ],
+        ids=["r3", "r4"],
+    )
+    def test_pinned(self, monkeypatch, r, expected, jobs):
+        RecordingExecutor.reset()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        g = make_hamming(HammingSpace(3, 3))
+        result = min_percolating_vertices(g, r, max_vertices=27, jobs=jobs)
+        assert tuple(result) == expected
+        assert bool(RecordingExecutor.tasks) == (jobs > 1)
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_exact_value_inside_the_sandwich(self, n, r):
+        result = min_percolating_vertices(make_hamming(HammingSpace(n, 3)), r, max_vertices=n**3)
+        lower, _ = min_seed_hamming_bounds(n, r, 3)
+        assert ceil(lower) <= result.minimum <= len(carved_corner_set(n, r, 3))
+
+
+class TestLanes:
+    # with 20 lanes the kept T(M, t) has M < n for the middle t of every n >= 7
+    @pytest.mark.parametrize("lanes", [20, oracle._LANES])
+    def test_tables_list_the_subsets_in_lexicographic_order(self, monkeypatch, lanes):
+        monkeypatch.setattr(oracle, "_LANES", lanes)
+        for n in range(11):
+            tables = []  # one search's tables: every T(m, t) is cut from T(M, t)
+            for m in range(n + 1):
+                for t in range(m + 1):
+                    subsets = list(combinations(range(m), t))
+                    if len(subsets) > lanes:
+                        continue
+                    table = oracle._lanes(tables, n, m, t)
+                    assert len(table) == m
+                    for c, subset in enumerate(subsets):
+                        assert tuple(y for y in range(m) if table[y] >> c & 1) == subset
+                        assert oracle._unrank(m, t, c) == subset
+                    assert all(x >> len(subsets) == 0 for x in table)
 
 
 class TestStarSearch:

@@ -5,6 +5,7 @@ is the lexicographically least one, and engine_calls counts candidates
 decided in lexicographic order, so pruning may not change either.
 """
 
+import concurrent.futures
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from bootperc.engine import (
 from bootperc.errors import ResourceLimitError
 from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming, make_line_graph
 
-from conftest import random_graph
+from conftest import RecordingExecutor, random_graph
 
 SEARCHES = {
     "vertex": (oracle.min_percolating_vertices, ref.min_percolating_vertices),
@@ -70,6 +71,19 @@ def test_random_graphs_match_reference_in_parallel():
     for g, process, r in _random_cases(100, 3):
         new, old = SEARCHES[process]
         assert _outcome(new, g, r, jobs=2) == _outcome(old, g, r), (g, process, r)
+
+
+@pytest.mark.parametrize("lanes", [1, 6, 40])
+def test_any_lane_budget_matches_reference(monkeypatch, lanes):
+    # smaller lane-sliced subtrees leave more of each level to the walk above them
+    monkeypatch.setattr(oracle, "_LANES", lanes)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    cases = [(make_hamming(HammingSpace(4, 2)), "vertex", 3), *_random_cases(200 + lanes, 6)]
+    for g, process, r in cases:
+        new, old = SEARCHES[process]
+        expected = _outcome(old, g, r)
+        for jobs in (1, 3):
+            assert _outcome(new, g, r, jobs=jobs) == expected, (g, process, r, jobs)
 
 
 @pytest.mark.parametrize(
