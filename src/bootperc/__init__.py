@@ -35,13 +35,11 @@ from bootperc.engine import (
 )
 from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
 from bootperc.formulas import (
-    count_weighted_simplex,
     min_seed_complete,
     min_seed_hamming_bounds,
     min_seed_hamming_dim2,
     min_seed_line_complete,
     weak_saturation_hamming,
-    weighted_simplex_bounds,
 )
 from bootperc.graphs import (
     Graph,
@@ -62,8 +60,6 @@ from bootperc.oracle import (
 from bootperc.polymethod import (
     DimReport,
     EdgeColoring,
-    EdgeWitness,
-    complete_graph_witnesses,
     is_proper_coloring,
     lift_coloring,
     product_coloring,
@@ -79,7 +75,6 @@ __all__ = [
     "ActivationTrace",
     "DimReport",
     "EdgeColoring",
-    "EdgeWitness",
     "FormatError",
     "Graph",
     "HammingSpace",
@@ -89,9 +84,7 @@ __all__ = [
     "cartesian_product",
     "carved_corner_set",
     "carved_region",
-    "complete_graph_witnesses",
     "corner_masks",
-    "count_weighted_simplex",
     "graph_from_text",
     "graph_to_text",
     "inner_cut_region",
@@ -129,5 +122,4 @@ __all__ = [
     "trace_to_jsonable",
     "vertex_seed_dim2",
     "weak_saturation_hamming",
-    "weighted_simplex_bounds",
 ]

@@ -13,7 +13,7 @@ on boundary lattice points and floating point would misclassify them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import filterfalse, product
 from math import comb
 
 from bootperc.errors import PreconditionError, ResourceLimitError
@@ -95,9 +95,8 @@ def _check_corner_args(n: int, r: int, d: int) -> None:
         )
 
 
-def simplex_region(n: int, r: int, d: int) -> Region:
-    """Points of [0,n)^d with coordinate sum <= ceil(r/2)-1."""
-    _check_corner_args(n, r, d)
+def _simplex_points(n: int, r: int, d: int) -> list[Point]:
+    """Points of [0,n)^d with coordinate sum <= ceil(r/2)-1, unchecked."""
     s = -(-r // 2)
     points: list[Point] = []
 
@@ -112,29 +111,37 @@ def simplex_region(n: int, r: int, d: int) -> Region:
 
     if s >= 1:
         extend([], s - 1, d)
-    return frozenset(points)
+    return points
+
+
+def _in_cut(r: int, d: int):
+    """Membership in the inner cut: x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1)."""
+    delta = Fraction(d - 2, d - 1)
+    bound = delta * (-(-r // 2) - 1)
+    return lambda p: p[0] + p[1] + delta * sum(p[2:]) < bound
+
+
+def simplex_region(n: int, r: int, d: int) -> Region:
+    """Points of [0,n)^d with coordinate sum <= ceil(r/2)-1."""
+    _check_corner_args(n, r, d)
+    return frozenset(_simplex_points(n, r, d))
 
 
 def inner_cut_region(n: int, r: int, d: int) -> Region:
     """Points of [0,n)^d with x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1).
 
     delta = (d-2)/(d-1); empty for d = 2.  Exact rational comparison.
+    Members of the cut are always inside the simplex, so only the
+    simplex is enumerated.
     """
     _check_corner_args(n, r, d)
-    delta = Fraction(d - 2, d - 1)
-    s = -(-r // 2)
-    bound = delta * (s - 1)
-    out = set()
-    # members of the cut are always inside the simplex, so enumerate there
-    for p in simplex_region(n, r, d):
-        if p[0] + p[1] + delta * sum(p[2:]) < bound:
-            out.add(p)
-    return frozenset(out)
+    return frozenset(filter(_in_cut(r, d), _simplex_points(n, r, d)))
 
 
 def carved_region(n: int, r: int, d: int) -> Region:
-    """Simplex region minus the inner cut."""
-    return simplex_region(n, r, d) - inner_cut_region(n, r, d)
+    """Simplex region minus the inner cut, from one enumeration of the simplex."""
+    _check_corner_args(n, r, d)
+    return frozenset(filterfalse(_in_cut(r, d), _simplex_points(n, r, d)))
 
 
 def _corner_union(region: Region, n: int, d: int) -> frozenset[int]:

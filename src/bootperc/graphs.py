@@ -299,7 +299,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.vertex_count * m, _offsets(degrees), targets)
 
 
-def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph:
+def make_hamming(space: HammingSpace) -> Graph:
     """Hamming graph on [0,n)^d: vertices adjacent iff they differ in one coordinate.
 
     Writes the rows directly from the codec's strides rather than via
@@ -315,7 +315,7 @@ def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph
     that slot of every row that sees them: about two copies per vertex.
 
     Raises ResourceLimitError, before allocating, when the graph needs
-    more than ``slot_cap`` CSR slots.
+    more than ``DEFAULT_SLOT_CAP`` CSR slots.
     """
     n, d = space.n, space.d
     if n == 1:
@@ -323,9 +323,9 @@ def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph
     size = 1
     for _ in range(d):
         size *= n
-        _check_slots("Hamming graph", size, 0, slot_cap)  # before n**d can grow huge
+        _check_slots("Hamming graph", size, 0)  # before n**d can grow huge
     degree = d * (n - 1)
-    _check_slots("Hamming graph", size, size * degree // 2, slot_cap)
+    _check_slots("Hamming graph", size, size * degree // 2)
     ids = array(_INT, range(size))
     targets = array(_INT, [0]) * (size * degree)
     sums = [0]  # digit sums of the length-i prefixes, in index order

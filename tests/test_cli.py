@@ -468,3 +468,20 @@ class TestStartup:
         # the benchmark's tracer reads every layer from sys.modules
         layers = ("graphs", "constructions", "engine", "formulas", "oracle", "polymethod", "linalg")
         assert sorted({f"bootperc.{m}" for m in layers} - loaded) == []
+
+    def test_library_runs_without_the_tests(self, tmp_path):
+        # every exported name and the benchmark's library snippet resolve from src/ alone
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from bootperc import *; "
+            "from bootperc.polymethod import recognized_space_dim_hamming as f; print(f(5, 4, 2))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "20\n"

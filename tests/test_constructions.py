@@ -5,6 +5,7 @@ from math import ceil, comb
 
 import pytest
 
+from bootperc import constructions
 from bootperc.constructions import (
     _check_corner_args,
     carved_corner_set,
@@ -150,6 +151,34 @@ class TestRegions:
         for d in (2, 3, 4):
             for r in range(1, 6):
                 assert carved_region(r + 1, r, d) <= simplex_region(r + 1, r, d)
+
+    def test_carved_is_simplex_minus_cut(self):
+        for d in range(2, 7):
+            for r in range(0, 11):
+                for n in (r + 1, r + 3):
+                    simplex = simplex_region(n, r, d)
+                    cut = inner_cut_region(n, r, d)
+                    assert cut <= simplex
+                    assert carved_region(n, r, d) == simplex - cut, (n, r, d)
+
+    def test_carved_enumerates_the_simplex_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(constructions, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("_check_corner_args", "_simplex_points"):
+            monkeypatch.setattr(constructions, name, counted(name))
+        region = carved_region(9, 8, 5)
+        assert calls == ["_check_corner_args", "_simplex_points"]
+        # the benchmark's verify seed: 2^4 corners of the 35 carved points
+        assert (len(region), len(carved_corner_set(9, 8, 5))) == (35, 560)
 
     def test_rejects_bad_args(self):
         with pytest.raises(PreconditionError):

@@ -7,14 +7,13 @@ import pytest
 from bootperc.constructions import simplex_region
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.formulas import (
-    count_weighted_simplex,
     min_seed_complete,
     min_seed_hamming_bounds,
     min_seed_hamming_dim2,
     min_seed_line_complete,
     weak_saturation_hamming,
-    weighted_simplex_bounds,
 )
+from reference_simplex import count_weighted_simplex, weighted_simplex_bounds
 
 
 class TestClosedForms:

@@ -153,7 +153,7 @@ class TestHammingGraph:
 
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
-            make_hamming(HammingSpace(10, 8), slot_cap=10**6)
+            make_hamming(HammingSpace(10, 8))
 
 
 class TestLineGraph:

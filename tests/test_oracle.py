@@ -6,7 +6,7 @@ from itertools import combinations
 from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bootperc import oracle
@@ -20,10 +20,12 @@ from bootperc.formulas import (
 )
 from bootperc.graphs import HammingSpace, make_complete, make_hamming, make_line_graph
 from bootperc.oracle import (
+    DEFAULT_EDGE_CAP,
     min_percolating_edges_line,
     min_percolating_edges_star,
     min_percolating_vertices,
 )
+from bootperc.polymethod import product_coloring_on, recognized_space_dim
 
 from conftest import RecordingExecutor, random_graph
 
@@ -210,6 +212,30 @@ class TestK7:
     def test_line_minimum_is_the_closed_form(self, r):
         result = min_percolating_edges_line(make_complete(7), r, max_edges=21)
         assert result.minimum == min_seed_line_complete(7, r)
+
+
+class TestPolynomialLowerBound:
+    """The oracle's minima against the recognized-space dimension.
+
+    A percolating star seed has at least dim(G) edges.  A percolating
+    vertex seed A gives a percolating star seed of at most r|A| edges (r
+    edges at each seed vertex, or all of them if it has fewer), so the
+    vertex minimum is at least ceil(dim(G)/r); the line process is the
+    vertex process on L(G), so the line minimum is at least
+    ceil(dim(L(G))/r).  Prime product colorings throughout.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_minima_are_at_least_the_dimension_bounds(self, seed, r):
+        g = random_graph(random.Random(seed))
+        assume(g.edge_count <= DEFAULT_EDGE_CAP)
+        line = make_line_graph(g)
+        dim = recognized_space_dim(g, product_coloring_on(g), r)
+        line_dim = recognized_space_dim(line, product_coloring_on(line), r)
+        assert min_percolating_edges_star(g, r).minimum >= dim
+        assert min_percolating_vertices(g, r).minimum >= ceil(dim / r)
+        assert min_percolating_edges_line(g, r).minimum >= ceil(line_dim / r)
 
 
 class TestParallelSearch:

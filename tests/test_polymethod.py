@@ -10,20 +10,17 @@ from bootperc.graphs import cartesian_product, make_complete
 from bootperc.linalg import mat_rank
 from bootperc.polymethod import (
     EdgeColoring,
-    complete_graph_witnesses,
     first_primes,
     is_proper_coloring,
     lift_coloring,
-    poly_degree,
-    poly_eval,
     primes_above,
     product_coloring,
     product_coloring_on,
     recognized_space_dim,
     recognized_space_dim_hamming,
     recognized_space_report,
-    witness_value_matrix,
 )
+from reference_witnesses import complete_graph_witnesses, evaluate, witness_value_matrix
 
 
 class TestPrimes:
@@ -38,8 +35,7 @@ class TestPrimes:
 class TestProductColoring:
     def test_frozen_triangle(self):
         c = product_coloring(3)
-        assert c.colors == {(0, 1): 6, (0, 2): 10, (1, 2): 15}
-        assert c.generators == (2, 3, 5)
+        assert c.colors == {(0, 1): 6, (0, 2): 10, (1, 2): 15}  # 2*3, 2*5, 3*5
 
     def test_single_edge(self):
         c = product_coloring(2)
@@ -66,9 +62,9 @@ class TestLiftColoring:
     def test_fresh_primes(self):
         k3 = make_complete(3)
         lifted = lift_coloring(k3, product_coloring(3), 2)
-        assert lifted.generators == (7, 11)
-        # fiber edges over base vertex i connect (i,0)-(i,1), i.e. 2i and 2i+1
-        assert lifted.colors[(0, 1)] == 77
+        # fiber edges over base vertex i connect (i,0)-(i,1), i.e. 2i and 2i+1;
+        # they get 7*11 from the two primes above the base's largest, 5
+        assert [lifted.colors[(2 * i, 2 * i + 1)] for i in range(3)] == [77] * 3
         assert 77 not in {6, 10, 15}
         # copy edges keep their base color: base edge (0,1) in fiber 0 is (0,2)
         assert lifted.colors[(0, 2)] == 6
@@ -179,7 +175,7 @@ class TestWitnesses:
     def test_degree_bound(self):
         for n, r in [(4, 2), (5, 3), (5, 4)]:
             for w in complete_graph_witnesses(n, r):
-                assert all(poly_degree(p) <= r - 1 for p in w.polynomials)
+                assert all(len(roots) <= r - 1 for _, roots in w.polynomials)
 
     def test_recognition_on_every_edge(self):
         n, r = 5, 3
@@ -187,8 +183,8 @@ class TestWitnesses:
         for w in complete_graph_witnesses(n, r):
             for i, j in combinations(range(n), 2):
                 color = gammas[i] * gammas[j]
-                left = poly_eval(w.polynomials[i], color)
-                right = poly_eval(w.polynomials[j], color)
+                left = evaluate(w.polynomials[i], color)
+                right = evaluate(w.polynomials[j], color)
                 assert left == right == w.values[(i, j)]
 
     def test_vanishing_pattern(self):

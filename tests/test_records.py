@@ -8,7 +8,7 @@ from bootperc.engine import ActivationTrace, percolate_vertices
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming
 from bootperc.oracle import SearchResult
-from bootperc.polymethod import DimReport, EdgeColoring, EdgeWitness
+from bootperc.polymethod import DimReport, EdgeColoring
 
 # each record class with a builder of fresh instances and its fields in order
 RECORDS = {
@@ -18,16 +18,12 @@ RECORDS = {
     ),
     "SearchResult": (lambda: SearchResult(2, (0, 3), 17), ("minimum", "witness", "engine_calls")),
     "EdgeColoring": (
-        lambda: EdgeColoring({(0, 1): 6, (0, 2): Fraction(1, 2)}, (2, 3, 5)),
-        ("colors", "generators"),
+        lambda: EdgeColoring({(0, 1): 6, (0, 2): Fraction(1, 2)}),
+        ("colors",),
     ),
     "DimReport": (
         lambda: DimReport(6, 6, 12, 6),
         ("dim", "constraint_rows", "constraint_cols", "kernel_dim"),
-    ),
-    "EdgeWitness": (
-        lambda: EdgeWitness((0, 1), ((Fraction(1),),), {(0, 1): Fraction(1)}),
-        ("edge", "polynomials", "values"),
     ),
 }
 
@@ -50,10 +46,6 @@ class TestResultRecords:
         record = build()
         shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
         assert repr(record) == f"{name}({shown})"
-
-
-def test_edge_coloring_defaults_to_no_generators():
-    assert EdgeColoring({(0, 1): 1}).generators is None
 
 
 def test_activation_trace_round_count():
