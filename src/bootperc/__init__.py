@@ -23,11 +23,14 @@ from bootperc.constructions import (
 )
 from bootperc.engine import (
     ActivationTrace,
+    check_packed,
     is_percolating_edges_line,
     is_percolating_edges_star,
+    is_percolating_hamming,
     is_percolating_vertices,
     percolate_edges_linegraph,
     percolate_edges_star,
+    percolate_hamming,
     percolate_vertices,
     seed_from_text,
     seed_to_text,
@@ -84,12 +87,14 @@ __all__ = [
     "cartesian_product",
     "carved_corner_set",
     "carved_region",
+    "check_packed",
     "corner_masks",
     "graph_from_text",
     "graph_to_text",
     "inner_cut_region",
     "is_percolating_edges_line",
     "is_percolating_edges_star",
+    "is_percolating_hamming",
     "is_percolating_vertices",
     "is_proper_coloring",
     "lift_coloring",
@@ -106,6 +111,7 @@ __all__ = [
     "min_seed_line_complete",
     "percolate_edges_linegraph",
     "percolate_edges_star",
+    "percolate_hamming",
     "percolate_vertices",
     "product_coloring",
     "product_coloring_on",

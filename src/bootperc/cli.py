@@ -20,9 +20,8 @@ from pathlib import Path
 
 from bootperc import constructions, formulas, oracle
 from bootperc.engine import (
-    is_percolating_edges_line,
-    is_percolating_edges_star,
-    is_percolating_vertices,
+    check_packed,
+    is_percolating_hamming,
     percolate_edges_linegraph,
     percolate_edges_star,
     percolate_vertices,
@@ -143,22 +142,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-_IS_PERCOLATING = {
-    "vertex": is_percolating_vertices,
-    "star": is_percolating_edges_star,
-    "line": is_percolating_edges_line,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     process, d, build = _family(args.family, args.d)
-    # the graph first: its slot guard refuses a dimension before the seed enumerates it
-    if process == "line":
-        g = make_complete(args.n)
-    else:
-        g = make_hamming(HammingSpace(args.n, d))
+    space = HammingSpace(args.n, d)  # the line family's K_n is HammingSpace(n, 1)
+    # the packed guard first: it refuses a dimension before the seed enumerates it
+    check_packed(space, process)
     seed = build(args.n, args.r, d)
-    ok = _IS_PERCOLATING[process](g, args.r, seed)
+    ok = is_percolating_hamming(space, args.r, process, seed)
     print(f"{'PERCOLATES' if ok else 'STALLS'} size={len(seed)}")
     return 0
 

@@ -19,27 +19,42 @@ everything not already in the seed, even from an empty seed.
 Edge seeds may hold (u, v) pairs, in either order, or edge ids
 (positions in ``g.edge_list()``).
 
-Internally all three processes run on one kernel over integer ids: a
-counter per vertex and a frontier of newly active elements.  Applying
-a frontier adds one to the counter of every vertex an element meets:
-the neighbors of a vertex, the two endpoints of an edge.  A vertex
-whose counter reaches r puts itself (vertex process) or its inactive
-edges (star process) into the next frontier; for the line process every
-touched endpoint tests its inactive edges against the sum of the two
-endpoint counters.  Elements are marked active when they join a
-frontier, so each joins at most once.  The vertex and star processes do
-O(|V| + sum of degrees of the activated elements) work; the line process
-also rescans the rows of the endpoints each round touched.  Sets of
-vertices or edge pairs are built only for an :class:`ActivationTrace`;
-``is_percolating_*`` just count the activated elements.
+Two kernels run the processes.  On any :class:`Graph`, all three run on
+one CSR kernel over integer ids: a counter per vertex and a frontier of
+newly active elements.  Applying a frontier adds one to the counter of
+every vertex an element meets: the neighbors of a vertex, the two
+endpoints of an edge.  A vertex whose counter reaches r puts itself
+(vertex process) or its inactive edges (star process) into the next
+frontier; for the line process every touched endpoint tests its inactive
+edges against the sum of the two endpoint counters.  Elements are marked
+active when they join a frontier, so each joins at most once.  The vertex
+and star processes do O(|V| + sum of degrees of the activated elements)
+work; the line process also rescans the rows of the endpoints each round
+touched.
+
+On the Hamming graph K_n^d, ``percolate_hamming`` and
+``is_percolating_hamming`` build no graph.  The vertex and star
+processes run one packed closure: a byte-aligned counter field per
+vertex, all in one int, updated a round at a time by shifting the
+frontier along each axis (see :class:`_Packed`); the star process is the
+vertex closure on the saturated vertices.  The line process, on K_n
+only, keeps one bitmask row per vertex.  They give the CSR kernel's
+rounds, and :func:`check_packed` bounds their memory and their work per
+round before anything is built.
+
+Sets of vertices or edge pairs are built only for an
+:class:`ActivationTrace`; ``is_percolating_*`` just count the activated
+elements.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import Counter
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple
 
-from bootperc.errors import FormatError, PreconditionError
-from bootperc.graphs import Edge, Graph, normalize_edge
+from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
+from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, Graph, HammingSpace, normalize_edge
 
 _VERTEX, _STAR, _LINE = "vertex", "star", "line"
 
@@ -66,13 +81,17 @@ def _check_r(r: int) -> None:
         raise PreconditionError("threshold r must be nonnegative")
 
 
-def _vertex_ids(g: Graph, r: int, seed: Iterable[int]) -> list[int]:
+def _vertex_ids(count: int, r: int, seed: Iterable[int]) -> list[int]:
     _check_r(r)
     out = list(seed)
-    if out and (min(out) < 0 or max(out) >= g.vertex_count):
-        bad = next(v for v in out if not 0 <= v < g.vertex_count)
+    if out and (min(out) < 0 or max(out) >= count):
+        bad = next(v for v in out if not 0 <= v < count)
         raise PreconditionError(f"seed vertex {bad} not in graph")
     return out
+
+
+def _not_an_edge(e) -> PreconditionError:
+    return PreconditionError(f"seed edge {normalize_edge(*e)} not in graph")
 
 
 def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
@@ -88,7 +107,7 @@ def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
             try:
                 out.append(g.edge_id(*e))
             except KeyError:
-                raise PreconditionError(f"seed edge {normalize_edge(*e)} not in graph") from None
+                raise _not_an_edge(e) from None
     return out
 
 
@@ -174,11 +193,11 @@ def _edge_trace(g: Graph, start: list[int], rounds: list[list[int]]) -> Activati
 
 def percolate_vertices(g: Graph, r: int, seed: Iterable[int]) -> ActivationTrace:
     """Run the r-neighbor vertex process from ``seed`` to closure."""
-    return _trace(*_closure(g, r, _VERTEX, _vertex_ids(g, r, seed)))
+    return _trace(*_closure(g, r, _VERTEX, _vertex_ids(g.vertex_count, r, seed)))
 
 
 def is_percolating_vertices(g: Graph, r: int, seed: Iterable[int]) -> bool:
-    return _activated(g, r, _VERTEX, _vertex_ids(g, r, seed)) == g.vertex_count
+    return _activated(g, r, _VERTEX, _vertex_ids(g.vertex_count, r, seed)) == g.vertex_count
 
 
 def percolate_edges_star(g: Graph, r: int, seed: Iterable) -> ActivationTrace:
@@ -208,6 +227,347 @@ def percolate_edges_linegraph(g: Graph, r: int, seed: Iterable) -> ActivationTra
 
 def is_percolating_edges_line(g: Graph, r: int, seed: Iterable) -> bool:
     return _activated(g, r, _LINE, _edge_ids(g, r, seed)) == g.edge_count
+
+
+# ---------------------------------------------------------------------------
+# packed closures on K_n^d, with no graph
+
+# Besides its d digit masks, a packed closure holds the count, the active
+# set, the frontier and a round's partial sums: at most this many more
+# ints (peak RSS past the interpreter's own, measured in ints: 14 to 18
+# on [0,2)^20, [0,2)^22, [0,16)^5 and [0,1500)^2).
+_SPARE_INTS = 18
+PACKED_BIT_CAP = 1 << 31  # bits its ints hold at once: 256 MB
+PACKED_WORK_CAP = 1 << 34  # bits its shifts, adds and masks touch in one round
+
+
+def _dims(space: HammingSpace) -> tuple[int, int]:
+    """(n, d) of ``space``; n = 1 is a single vertex whatever d is."""
+    return (1, 1) if space.n == 1 else (space.n, space.d)
+
+
+def _field_bytes(degree: int) -> int:
+    """Bytes per vertex field: a count up to ``degree`` and a spare top bit."""
+    return ((degree + 1).bit_length() + 8) // 8
+
+
+def check_packed(space: HammingSpace, process: str) -> None:
+    """The packed closure's resource guard, for ``process`` on ``space``.
+
+    Raises ResourceLimitError when the ints of the closure would hold more
+    than ``PACKED_BIT_CAP`` bits at once, or one round would shift, add and
+    mask more than ``PACKED_WORK_CAP`` bits.  It computes sizes only, so it
+    refuses before a seed is enumerated.  The vertex and star processes
+    keep d + 18 ints of n^d fields and run about 8 log2(n) big-int operations
+    per axis and round; the line process keeps n rows and up to n degree
+    masks of n bits, and reads each about three times per round.
+    """
+    n, d = _dims(space)
+    if process not in (_VERTEX, _STAR, _LINE):
+        raise PreconditionError(f"unknown process {process!r}")
+    if process == _LINE and d != 1:
+        raise PreconditionError("the packed line process runs on K_n, HammingSpace(n, 1)")
+    where = f"packed {process} closure on [0,{n})^{d}"
+    size = 1
+    for _ in range(d):  # stops before n**d can grow huge
+        size *= n
+        if size > PACKED_BIT_CAP:
+            raise ResourceLimitError(
+                f"{where} would hold more than {PACKED_BIT_CAP} bits: {n}^{d} vertices"
+            )
+    if process == _LINE:
+        bits, work = 2 * n * n, 6 * n * n
+        layout = f"{n} rows and {n} degree masks of {n} bits"
+    else:
+        field = 8 * _field_bytes(d * (n - 1))
+        bits = (d + _SPARE_INTS) * size * field
+        work = (d * (8 * n.bit_length() + 2) + 12) * size * field
+        layout = f"{d + _SPARE_INTS} ints of {size} fields of {field} bits"
+    if bits > PACKED_BIT_CAP:
+        raise ResourceLimitError(
+            f"{where} would hold {bits} packed bits ({layout}; cap {PACKED_BIT_CAP})"
+        )
+    if work > PACKED_WORK_CAP:
+        raise ResourceLimitError(
+            f"{where} would touch {work} bits per round (cap {PACKED_WORK_CAP})"
+        )
+
+
+def _copies(x: int, step: int, count: int, up: bool) -> int:
+    """Sum of x shifted up (or down) by c*step bits for c < count, in O(log count) steps."""
+    total = shift = 0
+    span = 1  # x is the sum of the first span copies
+    while True:
+        if count & span:
+            total += x << shift if up else x >> shift
+            shift += span * step
+        if 2 * span > count:
+            return total
+        x += x << span * step if up else x >> span * step
+        span *= 2
+
+
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x >= 0, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _Packed:
+    """The vertices of [0,n)^d as fields of one int: vertex x in bits x*w to x*w + w-1.
+
+    Fields are whole bytes, w = 8*width bits: room for a count up to the
+    degree D = d(n-1) and a spare top bit, so no sum of counts below 2^w
+    carries into the next field.  An int whose fields are 0 or 1 is a set
+    of vertices.
+    """
+
+    def __init__(self, n: int, d: int) -> None:
+        self.n, self.d, self.size = n, d, n**d
+        self.degree = d * (n - 1)
+        self.width = _field_bytes(self.degree)
+        self.top = 8 * self.width - 1
+        self.one = self._repeat(b"\x01" + bytes(self.width - 1), self.size)
+        self.strides = [n ** (d - 1 - i) for i in range(d)]
+        # mask i: every bit of the fields whose digit i is 0.  Built from
+        # repeated bytes in linear time: the same int as a long division,
+        # which is quadratic in CPython.
+        self.masks = [
+            self._repeat(
+                b"\xff" * (s * self.width) + bytes((n - 1) * s * self.width),
+                self.size // (n * s),
+            )
+            for s in self.strides
+        ]
+
+    @staticmethod
+    def _repeat(pattern: bytes, times: int) -> int:
+        return int.from_bytes(pattern * times, "little")
+
+    def pack(self, counts: dict[int, int]) -> int:
+        """The int whose field x holds counts[x], and every other field 0."""
+        width = self.width
+        buf = bytearray(self.size * width)
+        for x, k in counts.items():
+            if k < 256:
+                buf[x * width] = k
+            else:
+                buf[x * width : (x + 1) * width] = k.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
+    def flags(self, vertices: int) -> bytes:
+        """One byte per vertex, nonzero for the members of a vertex set."""
+        return vertices.to_bytes(self.size * self.width, "little")[:: self.width]
+
+    def ids(self, vertices: int) -> Iterator[int]:
+        return compress(range(self.size), self.flags(vertices))
+
+    def is_edge(self, u: int, v: int) -> bool:
+        """Whether u and v are vertices that differ in exactly one digit."""
+        if not (0 <= u < self.size and 0 <= v < self.size):
+            return False
+        n = self.n
+        for s in self.strides:  # most significant first
+            if u // s % n != v // s % n:
+                return u % s == v % s  # every later digit agrees
+        return False
+
+    def line_sums(self, frontier: int) -> int:
+        """Per field: the frontier's members on the vertex's d lines, the vertex itself d times.
+
+        Along each axis the frontier is summed down the line into the
+        field whose digit is 0, masked there, and copied back up the line.
+        """
+        total = 0
+        for s, mask in zip(self.strides, self.masks):
+            step = 8 * self.width * s
+            down = _copies(frontier, step, self.n, up=False) & mask
+            total += _copies(down, step, self.n, up=True)
+        return total
+
+    def rounds(
+        self, r: int, count: int, active: int, frontier: int, correct=None
+    ) -> Iterator[int]:
+        """Each round's newly active vertices, packed, until none activates.
+
+        A vertex activates once its count reaches r.  ``count`` holds the
+        counts before ``frontier`` is applied; applying a frontier adds to
+        every vertex its neighbors in it, less ``correct(frontier)``.  With
+        r > D no count reaches r.
+        """
+        if r > self.degree:
+            return
+        high = self.one << self.top
+        count += self.one * ((1 << self.top) - r)  # a field's top bit: count >= r
+        inactive = self.one ^ active
+        d = self.d
+        while True:
+            if frontier:
+                gain = self.line_sums(frontier) - d * frontier
+                if correct is not None:
+                    gain -= correct(frontier)
+                count += gain
+            new = (count & high) >> self.top & inactive
+            if not new:
+                return
+            inactive ^= new
+            yield new
+            frontier = new
+
+
+def _hamming_pairs(p: _Packed, r: int, seed: Iterable) -> set[Edge]:
+    _check_r(r)
+    out = set()
+    for e in seed:
+        if not p.is_edge(*e):
+            raise _not_an_edge(e)
+        out.add(normalize_edge(*e))
+    return out
+
+
+def _star_rounds(p: _Packed, r: int, pairs: set[Edge]) -> Iterator[int]:
+    """Each round's newly saturated vertices of the star process, packed.
+
+    A vertex is saturated once all its edges are active, and the active
+    edges are the seed and the edges at saturated vertices.  An unsaturated
+    vertex x has |N(x) & S| + #{seed edges xy, y not in S} active edges and
+    saturates, in the next round, once they number r.  So this is the
+    vertex closure on S, with each count biased by the seed degree, less
+    one for each seed edge whose other end saturates.
+    """
+    others: dict[int, list[int]] = {}
+    for u, v in pairs:
+        others.setdefault(u, []).append(v)
+        others.setdefault(v, []).append(u)
+    ends = p.pack(dict.fromkeys(others, 1))
+
+    def correct(frontier: int) -> int:
+        hits = frontier & ends
+        return hits and p.pack(Counter(x for y in p.ids(hits) for x in others[y]))
+
+    degrees = {x: len(ys) for x, ys in others.items()}
+    return p.rounds(r, p.pack(degrees), 0, 0, correct)
+
+
+def _star_edges(p: _Packed, pairs: set[Edge], rounds: Iterator[int]) -> Iterator[set[Edge]]:
+    """The edges each round activates: at a new vertex, inactive until then."""
+    saturated = 0
+    for new in rounds:
+        free = p.one ^ saturated  # not saturated before the round
+        edges: set[Edge] = set()
+        for s, mask in zip(p.strides, p.masks):
+            step = 8 * p.width * s
+            for c in range(1, p.n):
+                # the lower ends z of the new edges (z, z + c*s): on one
+                # line, neither end saturated before, and one end new
+                shift = c * step
+                line = _copies(mask & p.one, step, p.n - c, up=True)
+                lower = free & free >> shift & (new | new >> shift) & line
+                zs = list(p.ids(lower))
+                edges.update(zip(zs, map((c * s).__add__, zs)))
+        edges -= pairs
+        if not edges:  # the new vertices had every edge already: the last round
+            return
+        yield edges
+        saturated |= new
+
+
+def _line_rounds(n: int, r: int, pairs: set[Edge]) -> Iterator[list[tuple[int, int]]]:
+    """Each round of the line process on K_n, as (u, bits of u's new neighbors) pairs.
+
+    missing[u] holds the bits v of u's inactive edges uv, and degree[u]
+    counts its active ones.  An inactive edge uv activates once
+    degree[u] + degree[v] >= r: u's new neighbors are the missing ones
+    with at least r - degree[u] active edges, read off one mask per
+    degree.  Vertices with no missing edge drop out of the loop and the
+    masks: no vertex misses an edge to them.
+    """
+    missing = [((1 << n) - 1) ^ (1 << u) for u in range(n)]
+    for u, v in pairs:
+        missing[u] ^= 1 << v
+        missing[v] ^= 1 << u
+    degree = [n - 1 - row.bit_count() for row in missing]
+    live = [u for u in range(n) if missing[u]]
+    while live:
+        # at_least[k]: the live vertices with k or more active edges
+        top = max(degree[u] for u in live) + 1
+        at_least = [0] * (top + 1)
+        for u in live:
+            at_least[degree[u]] |= 1 << u
+        for k in range(top - 1, -1, -1):
+            at_least[k] |= at_least[k + 1]
+        # reach[k]: the vertices a vertex with k active edges may newly meet
+        reach = [at_least[max(r - k, 0)] if r - k <= top else 0 for k in range(top)]
+        new = [(u, fresh) for u in live if (fresh := reach[degree[u]] & missing[u])]
+        if not new:
+            return
+        for u, fresh in new:
+            missing[u] ^= fresh
+            degree[u] += fresh.bit_count()
+        live = [u for u in live if missing[u]]
+        yield new
+
+
+def _packed_closure(space: HammingSpace, r: int, process: str, seed: Iterable):
+    """(geometry, distinct seed, rounds) after the guard and the seed checks.
+
+    Vertex and star rounds are packed vertex sets: the newly active, or
+    newly saturated, vertices.  Line rounds are lists of
+    (u, bits of u's new neighbors).
+    """
+    check_packed(space, process)
+    p = _Packed(*_dims(space))
+    if process == _VERTEX:
+        start = set(_vertex_ids(p.size, r, seed))
+        first = p.pack(dict.fromkeys(start, 1))
+        return p, start, p.rounds(r, 0, first, first)
+    pairs = _hamming_pairs(p, r, seed)
+    if process == _LINE:
+        return p, pairs, _line_rounds(p.n, r, pairs)
+    return p, pairs, _star_rounds(p, r, pairs)
+
+
+def percolate_hamming(space: HammingSpace, r: int, process: str, seed: Iterable) -> ActivationTrace:
+    """Run ``process`` on the Hamming graph of ``space`` to closure, with no graph built.
+
+    The trace equals that of ``percolate_vertices`` or
+    ``percolate_edges_star`` on ``make_hamming(space)``, or of
+    ``percolate_edges_linegraph`` on K_n, which is ``HammingSpace(n, 1)``:
+    the line process runs on K_n only.  Edge seeds are (u, v) pairs.
+    Raises ResourceLimitError as :func:`check_packed` does, and when the
+    trace could hold more than ``DEFAULT_SLOT_CAP`` elements, the bound the
+    graph of the CSR path puts on its trace.
+    """
+    p, start, rounds = _packed_closure(space, r, process, seed)
+    elements = p.size if process == _VERTEX else p.size * p.degree // 2
+    if elements > DEFAULT_SLOT_CAP:
+        raise ResourceLimitError(
+            f"a {process} trace on [0,{p.n})^{p.d} could hold {elements} elements "
+            f"(cap {DEFAULT_SLOT_CAP})"
+        )
+    if process == _VERTEX:
+        return _trace(start, map(p.ids, rounds))
+    if process == _STAR:
+        return _trace(start, _star_edges(p, start, rounds))
+    edges = ([(u, v) for u, fresh in new for v in _bits(fresh) if u < v] for new in rounds)
+    return _trace(start, edges)
+
+
+def is_percolating_hamming(space: HammingSpace, r: int, process: str, seed: Iterable) -> bool:
+    """Whether :func:`percolate_hamming` activates everything; counts, builds no sets."""
+    p, start, rounds = _packed_closure(space, r, process, seed)
+    if process == _LINE:
+        twice = sum(fresh.bit_count() for new in rounds for _, fresh in new)
+        return len(start) + twice // 2 == p.n * (p.n - 1) // 2
+    gained = sum(new.bit_count() for new in rounds)
+    if process == _VERTEX:
+        return len(start) + gained == p.size
+    if r > p.degree:  # nothing saturates: only a seed of every edge percolates
+        return len(start) == p.size * p.degree // 2
+    # an unsaturated vertex with every edge active would saturate next round
+    return gained == p.size
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from bootperc.cli import load_graph, main
 from bootperc.errors import PreconditionError
-from bootperc.graphs import graph_to_text, make_complete, make_hamming, HammingSpace
+from bootperc.graphs import Graph, graph_to_text, make_complete, make_hamming, HammingSpace
 
 from conftest import RecordingExecutor
 
@@ -69,6 +69,31 @@ class TestVerify:
     def test_line_family(self, capsys):
         assert main(["verify", "--family", "line", "--n", "5", "--r", "3"]) == 0
         assert capsys.readouterr().out == "PERCOLATES size=3\n"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--family", "v2", "--n", "6", "--r", "5"], "PERCOLATES size=9\n"),
+            (["--family", "a", "--n", "5", "--r", "4", "--d", "3"], "PERCOLATES size=16\n"),
+            (["--family", "c", "--n", "5", "--r", "4", "--d", "3"], "PERCOLATES size=12\n"),
+            (["--family", "c", "--n", "4", "--r", "4", "--d", "3"], None),  # n <= r: refused
+            (["--family", "star", "--n", "4", "--r", "2", "--d", "2"], "PERCOLATES size=4\n"),
+            (["--family", "line", "--n", "5", "--r", "3"], "PERCOLATES size=3\n"),
+        ],
+        ids=["v2", "a", "c", "c-refused", "star", "line"],
+    )
+    def test_builds_no_graph(self, capsys, monkeypatch, argv, expected):
+        # the packed closure answers alone: no CSR graph is built beside it
+        assert main(["verify", *argv]) == (0 if expected else 1)
+        unpatched = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a Graph")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert main(["verify", *argv]) == (0 if expected else 1)
+        assert capsys.readouterr() == unpatched
+        assert unpatched.out == (expected or "")
 
 
 class TestConstructSimulate:
@@ -378,7 +403,8 @@ class TestRejectedInput:
         assert elapsed < 1.0
 
     def test_verify_guards_the_graph_before_the_seed(self, capsys):
-        # the simplex region of dimension 2000 would recurse 2000 levels deep
+        # the packed guard refuses 2^2000 vertices before the simplex region,
+        # which would recurse 2000 levels deep, is enumerated
         argv = ["verify", "--family", "a", "--n", "2", "--r", "1", "--d", "2000"]
         rc, reason, elapsed = self.run(argv, capsys)
         assert rc == 1
@@ -387,11 +413,30 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("n,r,d", [(60, 59, 8), (2, 1, 40)])
     def test_verify_refuses_before_enumerating(self, n, r, d):
-        # enumerating either seed takes gigabytes, so run it in a child with capped memory
+        # enumerating either seed takes gigabytes, so run it in a child with capped
+        # memory; the packed guard refuses 60^8 and 2^40 vertices first
         argv = ["verify", "--family", "a", "--n", str(n), "--r", str(r), "--d", str(d)]
         run, _ = run_with_capped_memory(argv)
         assert run.returncode == 1
         assert json.loads(run.stderr)["error"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize(
+        "argv,cost",
+        [
+            # 26 ints of 10^8 fields of 8 bits
+            (["--family", "c", "--n", "10", "--r", "9", "--d", "8"], "20800000000 packed bits"),
+            # 2590^2 fields of 16 bits fit, but 12-bit n takes 98 operations per axis
+            (["--family", "v2", "--n", "2590", "--r", "3"], "22324556800 bits per round"),
+            (["--family", "line", "--n", "40000", "--r", "3"], "3200000000 packed bits"),
+        ],
+        ids=["bits", "work", "line-bits"],
+    )
+    def test_verify_guard_names_its_cost(self, capsys, argv, cost):
+        rc, reason, elapsed = self.run(["verify", *argv], capsys)
+        assert rc == 1
+        assert reason["error"] == "ResourceLimitError"
+        assert cost in reason["reason"]
+        assert elapsed < 1.0
 
     def test_corner_seed_of_high_dimension(self, capsys):
         # 2^1999 corner masks, and a region 2000 levels deep
@@ -412,7 +457,7 @@ class TestRejectedInput:
     )
     def test_corner_masks_are_counted_before_enumerating(self, argv):
         # 2^39 or 2^1999 masks would exhaust memory, so run in a child with capped memory;
-        # the one-vertex graph of the verify case passes the slot guard
+        # [0,1)^2000 is one vertex, so the verify case passes the packed guard
         run, elapsed = run_with_capped_memory(argv)
         assert (run.returncode, run.stdout) == (1, "")
         assert json.loads(run.stderr)["error"] == "ResourceLimitError"
