@@ -23,14 +23,12 @@ from bootperc.constructions import (
 )
 from bootperc.engine import (
     ActivationTrace,
-    check_packed,
     is_percolating_edges_line,
     is_percolating_edges_star,
     is_percolating_hamming,
     is_percolating_vertices,
     percolate_edges_linegraph,
     percolate_edges_star,
-    percolate_hamming,
     percolate_vertices,
     seed_from_text,
     seed_to_text,
@@ -87,7 +85,6 @@ __all__ = [
     "cartesian_product",
     "carved_corner_set",
     "carved_region",
-    "check_packed",
     "corner_masks",
     "graph_from_text",
     "graph_to_text",
@@ -111,7 +108,6 @@ __all__ = [
     "min_seed_line_complete",
     "percolate_edges_linegraph",
     "percolate_edges_star",
-    "percolate_hamming",
     "percolate_vertices",
     "product_coloring",
     "product_coloring_on",

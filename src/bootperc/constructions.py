@@ -25,8 +25,12 @@ Region = frozenset[Point]
 # Building a corner set peaks at 65-325 bytes per counted point (measured
 # for d = 2..21: the mask and point tuples, the reflected copies, the
 # final set), as much as 4-22 CSR slots, so the graphs' slot cap admits a
-# sixteenth as many points: at most about 400 MB.
-_CORNER_POINT_CAP = DEFAULT_SLOT_CAP // 16
+# sixteenth as many points: at most about 400 MB.  Building an edge seed
+# peaks at 120-400 bytes per edge (measured near the cap on the line seed
+# and on star seeds of dimension 1, 2, 3, 9 and 20: the edge tuples, the
+# lower dimensions' lists, the final set), so the same cap bounds its
+# edges: at most about 500 MB.
+_SEED_CAP = DEFAULT_SLOT_CAP // 16
 
 
 def corner_masks(d: int) -> list[tuple[int, ...]]:
@@ -76,6 +80,21 @@ def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
     return frozenset(space.encode(p) for corner in (first, second) for p in corner)
 
 
+def _binomial_exceeds(m: int, k: int, cap: int) -> bool:
+    """Whether C(m, k) > cap, in O(log cap) steps however large m and k are."""
+    k = min(k, m - k)
+    c = 1 if k >= 0 else 0
+    for i in range(1, k + 1):  # c = C(m-k+i-1, i-1) >= 2^(i-1), since m-k >= k
+        if c > cap:
+            break
+        c = c * (m - k + i) // i
+    return c > cap
+
+
+def _too_many_edges(what: str, size: object) -> ResourceLimitError:
+    return ResourceLimitError(f"{what} would have {size} edges (cap {_SEED_CAP} edges)")
+
+
 def _check_corner_args(n: int, r: int, d: int) -> None:
     _check_threshold(r)
     if d < 2:
@@ -87,11 +106,11 @@ def _check_corner_args(n: int, r: int, d: int) -> None:
     # empty.  Counted before anything is enumerated; 2^(d-1) and the
     # binomial are computed only when 2^(d-1) can be under the cap.
     s = -(-r // 2)
-    few_masks = d <= _CORNER_POINT_CAP.bit_length()
-    if not few_masks or 2 ** (d - 1) * max(1, comb(s - 1 + d, d)) > _CORNER_POINT_CAP:
+    few_masks = d <= _SEED_CAP.bit_length()
+    if not few_masks or 2 ** (d - 1) * max(1, comb(s - 1 + d, d)) > _SEED_CAP:
         raise ResourceLimitError(
             f"corner construction would enumerate 2^{d - 1} corner masks times "
-            f"C({s - 1 + d},{d}) region points (cap {_CORNER_POINT_CAP} points)"
+            f"C({s - 1 + d},{d}) region points (cap {_SEED_CAP} points)"
         )
 
 
@@ -180,6 +199,9 @@ def star_seed_complete(n: int, r: int) -> frozenset[Edge]:
     _check_threshold(r)
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
+    size = r * (r + 1) // 2
+    if size > _SEED_CAP:
+        raise _too_many_edges("complete-graph star seed", size)
     return frozenset((i, j) for i in range(r) for j in range(i + 1, r + 1))
 
 
@@ -188,14 +210,20 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
 
     Layer t (last coordinate = t) carries the dimension d-1 seed for
     threshold r-t, for t = 0..r-1; layers with r-t <= 0 are empty.
-    Total size is C(d+r, d+1).  The seeds are built bottom-up, one
-    dimension at a time, so d is not bounded by the recursion limit.
+    Total size is C(d+r, d+1), checked against the seed cap before any
+    edge is built.  The seeds are built bottom-up, one dimension at a
+    time, so d is not bounded by the recursion limit.
     """
     _check_threshold(r)
     if d < 1:
         raise PreconditionError("star seed needs d >= 1")
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
+    if _binomial_exceeds(d + r, d + 1, _SEED_CAP):
+        raise _too_many_edges("star seed", f"C({d + r},{d + 1})")
+    if d == 1 or r == 0:
+        # d = 1 needs no seeds below threshold r; r = 0 has the empty seed in any d
+        return star_seed_complete(n, r)
     # seeds[k]: the seed for threshold k, k = 0..r, of the current dimension
     seeds = [star_seed_complete(n, k) for k in range(r + 1)]
 
@@ -205,7 +233,7 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
 
     for _ in range(d - 2):
         seeds = [lift(k) for k in range(r + 1)]
-    return seeds[r] if d == 1 else frozenset(lift(r))
+    return frozenset(lift(r))
 
 
 def line_seed(n: int, r: int) -> frozenset[Edge]:
@@ -214,12 +242,16 @@ def line_seed(n: int, r: int) -> frozenset[Edge]:
     Vertex i < ceil(r/2) is joined to the last ceil(r/2)-i vertices
     {n-1, ..., n-(ceil(r/2)-i)}; for even r the pairs
     (n-3+2j-r/2, n-2+2j-r/2), j = 1..ceil(r/4), are added.  Simplicity
-    is guaranteed by n >= ceil(r/2)+2 and asserted.
+    is guaranteed by n >= ceil(r/2)+2 and asserted.  The size is checked
+    against the seed cap before any edge is built.
     """
     _check_threshold(r)
     h = -(-r // 2)
     if n < h + 2:
         raise PreconditionError(f"need n >= ceil(r/2)+2, got n={n}, r={r}")
+    size = (r + 2) ** 2 // 8
+    if size > _SEED_CAP:
+        raise _too_many_edges("line seed", size)
     edges: set[Edge] = set()
 
     def add(u: int, v: int) -> None:
@@ -236,6 +268,6 @@ def line_seed(n: int, r: int) -> frozenset[Edge]:
     if r % 2 == 0:
         for j in range(1, -(-r // 4) + 1):
             add(n - 3 + 2 * j - r // 2, n - 2 + 2 * j - r // 2)
-    if len(edges) != (r + 2) ** 2 // 8:
+    if len(edges) != size:
         raise AssertionError("line seed size disagrees with its closed form")
     return frozenset(edges)

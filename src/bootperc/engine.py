@@ -32,15 +32,14 @@ and star processes do O(|V| + sum of degrees of the activated elements)
 work; the line process also rescans the rows of the endpoints each round
 touched.
 
-On the Hamming graph K_n^d, ``percolate_hamming`` and
-``is_percolating_hamming`` build no graph.  The vertex and star
-processes run one packed closure: a byte-aligned counter field per
-vertex, all in one int, updated a round at a time by shifting the
-frontier along each axis (see :class:`_Packed`); the star process is the
-vertex closure on the saturated vertices.  The line process, on K_n
-only, keeps one bitmask row per vertex.  They give the CSR kernel's
-rounds, and :func:`check_packed` bounds their memory and their work per
-round before anything is built.
+On the Hamming graph K_n^d, ``is_percolating_hamming`` builds no graph.
+The vertex and star processes run one packed closure: a byte-aligned
+counter field per vertex, all in one int, updated a round at a time by
+shifting the frontier along each axis (see :class:`_Packed`); the star
+process is the vertex closure on the saturated vertices.  The line
+process, on K_n only, keeps one bitmask row per vertex.  Their rounds
+are the CSR kernel's, and :func:`check_packed` bounds their memory and
+their work per round before anything is built.
 
 Sets of vertices or edge pairs are built only for an
 :class:`ActivationTrace`; ``is_percolating_*`` just count the activated
@@ -54,7 +53,7 @@ from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
-from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, Graph, HammingSpace, normalize_edge
+from bootperc.graphs import Edge, Graph, HammingSpace, normalize_edge
 
 _VERTEX, _STAR, _LINE = "vertex", "star", "line"
 
@@ -307,14 +306,6 @@ def _copies(x: int, step: int, count: int, up: bool) -> int:
         span *= 2
 
 
-def _bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x >= 0, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 class _Packed:
     """The vertices of [0,n)^d as fields of one int: vertex x in bits x*w to x*w + w-1.
 
@@ -451,29 +442,6 @@ def _star_rounds(p: _Packed, r: int, pairs: set[Edge]) -> Iterator[int]:
     return p.rounds(r, p.pack(degrees), 0, 0, correct)
 
 
-def _star_edges(p: _Packed, pairs: set[Edge], rounds: Iterator[int]) -> Iterator[set[Edge]]:
-    """The edges each round activates: at a new vertex, inactive until then."""
-    saturated = 0
-    for new in rounds:
-        free = p.one ^ saturated  # not saturated before the round
-        edges: set[Edge] = set()
-        for s, mask in zip(p.strides, p.masks):
-            step = 8 * p.width * s
-            for c in range(1, p.n):
-                # the lower ends z of the new edges (z, z + c*s): on one
-                # line, neither end saturated before, and one end new
-                shift = c * step
-                line = _copies(mask & p.one, step, p.n - c, up=True)
-                lower = free & free >> shift & (new | new >> shift) & line
-                zs = list(p.ids(lower))
-                edges.update(zip(zs, map((c * s).__add__, zs)))
-        edges -= pairs
-        if not edges:  # the new vertices had every edge already: the last round
-            return
-        yield edges
-        saturated |= new
-
-
 def _line_rounds(n: int, r: int, pairs: set[Edge]) -> Iterator[list[tuple[int, int]]]:
     """Each round of the line process on K_n, as (u, bits of u's new neighbors) pairs.
 
@@ -515,7 +483,12 @@ def _packed_closure(space: HammingSpace, r: int, process: str, seed: Iterable):
 
     Vertex and star rounds are packed vertex sets: the newly active, or
     newly saturated, vertices.  Line rounds are lists of
-    (u, bits of u's new neighbors).
+    (u, bits of u's new neighbors).  Round i matches the CSR kernel's
+    round i: the same vertices or edges or, for the star process, the
+    vertices that first carry r active edges after its round i-1 (the
+    seed, for i = 1), whose inactive edges its round i activates.  The
+    star rounds may end with one more round of such vertices, that had
+    no inactive edge left.
     """
     check_packed(space, process)
     p = _Packed(*_dims(space))
@@ -529,34 +502,15 @@ def _packed_closure(space: HammingSpace, r: int, process: str, seed: Iterable):
     return p, pairs, _star_rounds(p, r, pairs)
 
 
-def percolate_hamming(space: HammingSpace, r: int, process: str, seed: Iterable) -> ActivationTrace:
-    """Run ``process`` on the Hamming graph of ``space`` to closure, with no graph built.
-
-    The trace equals that of ``percolate_vertices`` or
-    ``percolate_edges_star`` on ``make_hamming(space)``, or of
-    ``percolate_edges_linegraph`` on K_n, which is ``HammingSpace(n, 1)``:
-    the line process runs on K_n only.  Edge seeds are (u, v) pairs.
-    Raises ResourceLimitError as :func:`check_packed` does, and when the
-    trace could hold more than ``DEFAULT_SLOT_CAP`` elements, the bound the
-    graph of the CSR path puts on its trace.
-    """
-    p, start, rounds = _packed_closure(space, r, process, seed)
-    elements = p.size if process == _VERTEX else p.size * p.degree // 2
-    if elements > DEFAULT_SLOT_CAP:
-        raise ResourceLimitError(
-            f"a {process} trace on [0,{p.n})^{p.d} could hold {elements} elements "
-            f"(cap {DEFAULT_SLOT_CAP})"
-        )
-    if process == _VERTEX:
-        return _trace(start, map(p.ids, rounds))
-    if process == _STAR:
-        return _trace(start, _star_edges(p, start, rounds))
-    edges = ([(u, v) for u, fresh in new for v in _bits(fresh) if u < v] for new in rounds)
-    return _trace(start, edges)
-
-
 def is_percolating_hamming(space: HammingSpace, r: int, process: str, seed: Iterable) -> bool:
-    """Whether :func:`percolate_hamming` activates everything; counts, builds no sets."""
+    """Whether ``process`` activates every element of the Hamming graph of ``space``.
+
+    Gives what ``is_percolating_vertices`` or ``is_percolating_edges_star``
+    give on ``make_hamming(space)``, or ``is_percolating_edges_line`` on
+    K_n, which is ``HammingSpace(n, 1)``: the line process runs on K_n
+    only.  Edge seeds are (u, v) pairs.  Builds no graph and no sets, and
+    raises ResourceLimitError as :func:`check_packed` does.
+    """
     p, start, rounds = _packed_closure(space, r, process, seed)
     if process == _LINE:
         twice = sum(fresh.bit_count() for new in rounds for _, fresh in new)

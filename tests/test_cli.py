@@ -438,6 +438,25 @@ class TestRejectedInput:
         assert cost in reason["reason"]
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["verify", "--family", "line", "--n", "32768", "--r", "32767"], "134225920 edges"),
+            (["verify", "--family", "star", "--n", "160", "--r", "159", "--d", "3"], "C(162,4) edges"),
+            (["verify", "--family", "star", "--n", "2000", "--r", "1999"], "C(2000,2) edges"),
+        ],
+        ids=["line", "star", "star-d1"],
+    )
+    def test_verify_counts_edge_seeds_before_enumerating(self, argv, size):
+        # the packed closures fit under their guard, but the seeds would take
+        # gigabytes, so run in a child with capped memory
+        run, elapsed = run_with_capped_memory(argv)
+        assert (run.returncode, run.stdout) == (1, "")
+        reason = json.loads(run.stderr)
+        assert reason["error"] == "ResourceLimitError"
+        assert size in reason["reason"]
+        assert elapsed < 1.0
+
     def test_corner_seed_of_high_dimension(self, capsys):
         # 2^1999 corner masks, and a region 2000 levels deep
         argv = ["construct", "--family", "c", "--n", "2", "--r", "1", "--d", "2000"]

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from math import ceil, comb
@@ -7,6 +8,7 @@ import pytest
 
 from bootperc import constructions
 from bootperc.constructions import (
+    _binomial_exceeds,
     _check_corner_args,
     carved_corner_set,
     carved_region,
@@ -289,6 +291,51 @@ class TestStarSeeds:
     def test_dim1_is_complete_seed(self):
         for r in range(1, 5):
             assert star_seed_hamming(r + 2, r, 1) == star_seed_complete(r + 2, r)
+
+    def test_dim1_builds_only_its_own_edges(self):
+        # C(201, 2) edges, not the C(202, 3) of the seeds for every threshold below
+        tracemalloc.start()
+        try:
+            seed = star_seed_hamming(201, 200, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seed == star_seed_complete(201, 200)
+        assert peak < 400 * len(seed)
+
+    @pytest.mark.parametrize(
+        "build,size",
+        [
+            # each just past the cap, so a seed built before the check stays small
+            (lambda: star_seed_hamming(74, 73, 3), "C(76,4)"),  # 1282975 edges
+            (lambda: star_seed_hamming(1582, 1581, 1), "C(1582,2)"),  # 1250571 edges
+            (lambda: star_seed_complete(1582, 1581), "1250571"),
+            (lambda: line_seed(3200, 3161), "1250571"),
+        ],
+        ids=["star", "star-d1", "complete", "line"],
+    )
+    def test_edges_are_counted_before_building(self, build, size):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=rf"{re.escape(size)} edges \(cap 1250000"):
+            build()
+        assert time.perf_counter() - started < 0.5
+
+    def test_binomial_bound(self):
+        for m in range(30):
+            for k in range(-1, 32):
+                exact = comb(m, k) if k >= 0 else 0
+                for cap in (0, 1, 7, 1000):
+                    assert _binomial_exceeds(m, k, cap) == (exact > cap), (m, k, cap)
+        # C(2*10^5, 10^5+1) has 60k digits; its partial products pass the cap in 21 steps
+        started = time.perf_counter()
+        assert _binomial_exceeds(2 * 10**5, 10**5 + 1, 1_250_000)
+        assert time.perf_counter() - started < 0.1
+
+    def test_empty_seed_of_any_dimension(self):
+        # r = 0 builds no lower dimension, however many there are
+        started = time.perf_counter()
+        assert star_seed_hamming(1, 0, 10**7) == frozenset()
+        assert time.perf_counter() - started < 0.5
 
     def test_layer_decomposition(self):
         # layer t along the last coordinate carries the seed for threshold r-t

@@ -1,18 +1,20 @@
 """The packed closures on K_n^d against the CSR engine, round for round."""
 
 import random
+from collections import Counter
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bootperc.constructions import carved_corner_set, line_seed, star_seed_hamming
 from bootperc.engine import (
+    _packed_closure,
     check_packed,
     is_percolating_hamming,
     percolate_edges_linegraph,
     percolate_edges_star,
-    percolate_hamming,
     percolate_vertices,
 )
 from bootperc.errors import PreconditionError, ResourceLimitError
@@ -31,7 +33,6 @@ SPACES = [(1, 1), (1, 3)] + [
 def graph(n, d):
     return make_hamming(HammingSpace(n, d))
 
-
 def processes(d):
     return ("vertex", "star", "line") if d == 1 else ("vertex", "star")
 
@@ -48,18 +49,62 @@ def paper_seed(process, n, d):
 
 
 def random_seed(rng, process, g, density):
+    """A share ``density`` of the vertices or edges, drawn at random; pairs in either order."""
     if process == "vertex":
-        return [v for v in range(g.vertex_count) if rng.random() < density]
-    # pairs in either order
-    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edge_list()
-            if rng.random() < density]
+        return rng.sample(range(g.vertex_count), int(density * g.vertex_count))
+    edges = rng.sample(g.edge_list(), int(density * g.edge_count))
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def packed_rounds(n, d, r, process, seed):
+    """The packed closure's distinct seed and its rounds, as sets.
+
+    Vertex rounds hold the newly active vertices, star rounds the newly
+    saturated vertices, line rounds the newly active edges.
+    """
+    p, start, rounds = _packed_closure(HammingSpace(n, d), r, process, seed)
+    if process == "line":
+        def edges(new):
+            return {(u, v) for u, fresh in new for v in range(u + 1, n) if fresh >> v & 1}
+
+        return start, [edges(new) for new in rounds]
+    return start, [set(p.ids(new)) for new in rounds]
+
+
+def saturation_rounds(g, r, trace):
+    """A star trace's rounds as the vertices whose edges each activates.
+
+    Round i activates the inactive edges at the vertices that first carry
+    r active edges after round i-1; the seed is round 0.  One more round
+    of such vertices, with no inactive edge left, may follow the last.
+    """
+    if r == 0:
+        return [set(range(g.vertex_count))]  # every vertex carries 0 active edges
+    degree = [0] * g.vertex_count
+    out = []
+    for edges in (trace.seed, *trace.rounds):
+        new = set()
+        for x, k in Counter(chain.from_iterable(edges)).items():
+            degree[x] += k
+            if degree[x] - k < r <= degree[x]:
+                new.add(x)
+        out.append(new)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def assert_same(n, d, r, process, seed):
+    """The packed closure against the CSR engine's trace; returns the trace."""
     g = graph(n, d)
     want = CSR[process](g, r, seed)
+    start, rounds = packed_rounds(n, d, r, process, seed)
+    assert start == want.seed
+    if process == "star":
+        assert rounds == saturation_rounds(g, r, want)
+    else:
+        assert rounds == list(want.rounds)
     size = g.vertex_count if process == "vertex" else g.edge_count
-    assert percolate_hamming(HammingSpace(n, d), r, process, seed) == want
     assert is_percolating_hamming(HammingSpace(n, d), r, process, seed) == (len(want.final) == size)
     return want
 
@@ -69,7 +114,9 @@ def test_matches_the_csr_engine(n, d):
     # r = n-1 is the threshold the paper's seeds are built for: they
     # percolate at it, and without their last element most of them stall.
     # At r = 0 and r = 1 any nonempty seed floods the graph, so one seed,
-    # the random one, stands for all three there.
+    # the random one, stands for all three there; past 2000 vertices the
+    # flood is only checked to percolate, as the smaller spaces already
+    # compare its rounds.
     rng = random.Random(n * 100 + d)
     degree = d * (n - 1)
     g = graph(n, d)
@@ -77,8 +124,14 @@ def test_matches_the_csr_engine(n, d):
         paper = sorted(paper_seed(process, n, d))
         seeds = [paper, paper[:-1], random_seed(rng, process, g, 1 / (degree + 2))]
         for r in sorted({0, 1, n - 1, degree, degree + 1}):
-            for seed in seeds if r > 1 else seeds[2:]:
-                assert_same(n, d, r, process, seed)
+            if r > 1:
+                for seed in seeds:
+                    assert_same(n, d, r, process, seed)
+            elif g.vertex_count <= 2000:
+                assert_same(n, d, r, process, seeds[2])
+            else:
+                assert seeds[2]
+                assert is_percolating_hamming(HammingSpace(n, d), r, process, seeds[2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,17 +166,15 @@ class TestSeedValidation:
 
     def messages(self, n, d, r, process, seed):
         with pytest.raises(PreconditionError) as packed:
-            percolate_hamming(HammingSpace(n, d), r, process, seed)
-        with pytest.raises(PreconditionError) as count:
             is_percolating_hamming(HammingSpace(n, d), r, process, seed)
         with pytest.raises(PreconditionError) as csr:
             CSR[process](graph(n, d), r, seed)
-        return str(packed.value), str(count.value), str(csr.value)
+        return str(packed.value), str(csr.value)
 
     @pytest.mark.parametrize("vertex", [9, -1, 100])
     def test_vertex_out_of_range(self, vertex):
         got = self.messages(3, 2, 1, "vertex", [0, vertex])
-        assert got == (f"seed vertex {vertex} not in graph",) * 3
+        assert got == (f"seed vertex {vertex} not in graph",) * 2
 
     @pytest.mark.parametrize(
         "n,d,process,pair",
@@ -138,35 +189,27 @@ class TestSeedValidation:
     )
     def test_pair_that_is_not_an_edge(self, n, d, process, pair):
         got = self.messages(n, d, 1, process, [(0, 1), pair])
-        assert got == (f"seed edge {tuple(sorted(pair))} not in graph",) * 3
+        assert got == (f"seed edge {tuple(sorted(pair))} not in graph",) * 2
 
     @pytest.mark.parametrize("process", ["vertex", "star", "line"])
     def test_negative_threshold(self, process):
         got = self.messages(4, 1, -1, process, [])
-        assert got == ("threshold r must be nonnegative",) * 3
+        assert got == ("threshold r must be nonnegative",) * 2
 
 
 class TestGuard:
     def test_one_vertex_whatever_the_dimension(self):
         space = HammingSpace(1, 10**6)
         check_packed(space, "vertex")
-        trace = percolate_hamming(space, 0, "vertex", [])
-        assert trace.rounds == (frozenset({0}),)
+        assert packed_rounds(1, 10**6, 0, "vertex", []) == (set(), [{0}])
         assert is_percolating_hamming(space, 1, "star", [])
 
     def test_huge_dimension_is_refused_before_n_to_the_d(self):
         with pytest.raises(ResourceLimitError, match="more than 2147483648 bits: 2\\^100000"):
             check_packed(HammingSpace(2, 100_000), "star")
 
-    def test_trace_is_bounded_like_the_csr_path(self):
-        # K_6400 fits the packed guard, but its 20M edges would not fit a trace
-        space = HammingSpace(6400, 1)
-        assert not is_percolating_hamming(space, 3, "star", [(0, 1)])
-        with pytest.raises(ResourceLimitError, match="could hold 20476800 elements"):
-            percolate_hamming(space, 3, "star", [(0, 1)])
-
     def test_line_process_lives_on_the_complete_graph(self):
         with pytest.raises(PreconditionError, match="K_n"):
             check_packed(HammingSpace(4, 2), "line")
         with pytest.raises(PreconditionError, match="unknown process"):
-            percolate_hamming(HammingSpace(4, 1), 1, "edge", [])
+            is_percolating_hamming(HammingSpace(4, 1), 1, "edge", [])
