@@ -11,10 +11,8 @@ cross-validates everything on tiny instances.
 from bootperc.constructions import (
     carved_corner_set,
     carved_region,
-    corner_masks,
     inner_cut_region,
     line_seed,
-    reflect_region,
     simplex_corner_set,
     simplex_region,
     star_seed_complete,
@@ -85,7 +83,6 @@ __all__ = [
     "cartesian_product",
     "carved_corner_set",
     "carved_region",
-    "corner_masks",
     "graph_from_text",
     "graph_to_text",
     "inner_cut_region",
@@ -114,7 +111,6 @@ __all__ = [
     "recognized_space_dim",
     "recognized_space_dim_hamming",
     "recognized_space_report",
-    "reflect_region",
     "seed_from_text",
     "seed_to_text",
     "simplex_corner_set",

@@ -66,7 +66,15 @@ def load_graph(spec: str) -> Graph:
         raise PreconditionError(
             f"unknown graph family {name!r}; known families: {', '.join(KNOWN_FAMILIES)}"
         )
-    return graph_from_text(Path(spec).read_text())
+    return graph_from_text(_read_text(spec))
+
+
+def _read_text(path: str) -> str:
+    """The text of a graph or seed file; FormatError when it does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not a text file: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -100,7 +108,7 @@ def _family(family: str, d: int | None):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    vertices, edges = seed_from_text(Path(args.seed).read_text())
+    vertices, edges = seed_from_text(_read_text(args.seed))
     if args.process == "vertex":
         if edges:
             raise PreconditionError("vertex process needs a vertex seed, found edges")
@@ -119,16 +127,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _check_printable(n: int, d: int) -> None:
     """Refuse a seed whose vertex ids, below n^d, may have more digits than str() writes."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if n < 2 or limit == 0:
-        return
-    bound, size = 10**limit, 1
-    for _ in range(d):  # stops within 4*limit steps, whatever d is
-        size *= n
-        if size > bound:
-            raise ResourceLimitError(
-                f"vertex ids of [0,{n})^{d} would have more than {limit} digits, "
-                "the most an integer is printed with"
-            )
+    if n < 2 or d < 1 or limit == 0:
+        return  # the builders refuse a bad n or d with their own messages
+    bound = 10**limit
+    if HammingSpace(n, d).capped_size(bound) > bound:
+        raise ResourceLimitError(
+            f"vertex ids of [0,{n})^{d} would have more than {limit} digits, "
+            "the most an integer is printed with"
+        )
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

@@ -2,8 +2,10 @@
 
 Vertex seeds are returned as flat index sets on the corresponding
 Hamming graph (row-major codec, first coordinate most significant);
-regions are returned as point sets in [0,n)^d.  Edge seeds are
-normalized (min, max) pairs.
+regions are returned as point sets in [0,n)^d.  The corner sets reflect
+a region to the 2^(d-1) corners with t_1 = t_2 on the ids themselves,
+from the strides of :class:`HammingSpace`.  Edge seeds are normalized
+(min, max) pairs.
 
 All membership tests that involve the weight delta = (d-2)/(d-1) are
 done in exact rational arithmetic: the strict inequality sits exactly
@@ -13,7 +15,7 @@ on boundary lattice points and floating point would misclassify them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import filterfalse, product
+from itertools import filterfalse
 from math import comb
 
 from bootperc.errors import PreconditionError, ResourceLimitError
@@ -22,37 +24,16 @@ from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, HammingSpace
 Point = tuple[int, ...]
 Region = frozenset[Point]
 
-# Building a corner set peaks at 65-325 bytes per counted point (measured
-# for d = 2..21: the mask and point tuples, the reflected copies, the
-# final set), as much as 4-22 CSR slots, so the graphs' slot cap admits a
-# sixteenth as many points: at most about 400 MB.  Building an edge seed
+# Building a corner set peaks at 50-240 bytes per counted point (measured
+# for d = 2..19: the region's point tuples and the final set of ids, which
+# dominates; reflecting ids from the strides, not point tuples, left that
+# peak in place), as much as 3-16 CSR slots, so the graphs' slot cap admits
+# a sixteenth as many points: at most about 300 MB.  Building an edge seed
 # peaks at 120-400 bytes per edge (measured near the cap on the line seed
 # and on star seeds of dimension 1, 2, 3, 9 and 20: the edge tuples, the
 # lower dimensions' lists, the final set), so the same cap bounds its
 # edges: at most about 500 MB.
 _SEED_CAP = DEFAULT_SLOT_CAP // 16
-
-
-def corner_masks(d: int) -> list[tuple[int, ...]]:
-    """All t in {0,1}^d with t_1 = t_2; the corners a region is reflected to."""
-    if d < 2:
-        raise PreconditionError("corner masks need d >= 2")
-    masks = [t for t in product((0, 1), repeat=d) if t[0] == t[1]]
-    assert len(masks) == 2 ** (d - 1)
-    return masks
-
-
-def reflect_region(points: Region | set[Point], mask: tuple[int, ...], n: int) -> Region:
-    """Reflect a region coordinatewise: x_i -> n-1-x_i where mask_i = 1.
-
-    Involutive, size preserving; mask (0,...,0) is the identity.
-    """
-    out = set()
-    for p in points:
-        if len(p) != len(mask):
-            raise PreconditionError("point dimension does not match mask")
-        out.add(tuple(n - 1 - x if t else x for x, t in zip(p, mask)))
-    return frozenset(out)
 
 
 def _check_threshold(r: int) -> None:
@@ -102,9 +83,9 @@ def _check_corner_args(n: int, r: int, d: int) -> None:
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
     # The corner set reflects the C(s-1+d, d) points of the simplex region
-    # to 2^(d-1) corners, and enumerates the masks even when the region is
-    # empty.  Counted before anything is enumerated; 2^(d-1) and the
-    # binomial are computed only when 2^(d-1) can be under the cap.
+    # to 2^(d-1) corners; a huge d is refused even when the region is empty.
+    # Counted before anything is enumerated; 2^(d-1) and the binomial are
+    # computed only when 2^(d-1) can be under the cap.
     s = -(-r // 2)
     few_masks = d <= _SEED_CAP.bit_length()
     if not few_masks or 2 ** (d - 1) * max(1, comb(s - 1 + d, d)) > _SEED_CAP:
@@ -164,11 +145,19 @@ def carved_region(n: int, r: int, d: int) -> Region:
 
 
 def _corner_union(region: Region, n: int, d: int) -> frozenset[int]:
-    space = HammingSpace(n, d)
+    """Ids of the region reflected to the 2^(d-1) corners t in {0,1}^d with t_1 = t_2.
+
+    Reflecting x_i to n-1-x_i adds (n-1-2x_i)*s_i to the id sum x_i*s_i:
+    x_1 and x_2 together, then each later coordinate alone, doubling the ids.
+    """
+    strides = HammingSpace(n, d).strides
     out: set[int] = set()
-    for mask in corner_masks(d):
-        for p in reflect_region(region, mask, n):
-            out.add(space.encode(p))
+    for p in region:
+        shifts = [(n - 1 - 2 * x) * s for x, s in zip(p, strides)]
+        ids = [sum(x * s for x, s in zip(p, strides))]
+        for shift in [shifts[0] + shifts[1], *shifts[2:]]:
+            ids += [i + shift for i in ids]
+        out.update(ids)
     return frozenset(out)
 
 

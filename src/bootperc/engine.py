@@ -240,11 +240,6 @@ PACKED_BIT_CAP = 1 << 31  # bits its ints hold at once: 256 MB
 PACKED_WORK_CAP = 1 << 34  # bits its shifts, adds and masks touch in one round
 
 
-def _dims(space: HammingSpace) -> tuple[int, int]:
-    """(n, d) of ``space``; n = 1 is a single vertex whatever d is."""
-    return (1, 1) if space.n == 1 else (space.n, space.d)
-
-
 def _field_bytes(degree: int) -> int:
     """Bytes per vertex field: a count up to ``degree`` and a spare top bit."""
     return ((degree + 1).bit_length() + 8) // 8
@@ -261,19 +256,17 @@ def check_packed(space: HammingSpace, process: str) -> None:
     per axis and round; the line process keeps n rows and up to n degree
     masks of n bits, and reads each about three times per round.
     """
-    n, d = _dims(space)
     if process not in (_VERTEX, _STAR, _LINE):
         raise PreconditionError(f"unknown process {process!r}")
+    where = f"packed {process} closure on [0,{space.n})^{space.d}"
+    size = space.capped_size(PACKED_BIT_CAP)
+    if size > PACKED_BIT_CAP:
+        raise ResourceLimitError(
+            f"{where} would hold more than {PACKED_BIT_CAP} bits: {space.n}^{space.d} vertices"
+        )
+    n, d = space.n, len(space.strides)  # n = 1 is K_1 whatever d is
     if process == _LINE and d != 1:
         raise PreconditionError("the packed line process runs on K_n, HammingSpace(n, 1)")
-    where = f"packed {process} closure on [0,{n})^{d}"
-    size = 1
-    for _ in range(d):  # stops before n**d can grow huge
-        size *= n
-        if size > PACKED_BIT_CAP:
-            raise ResourceLimitError(
-                f"{where} would hold more than {PACKED_BIT_CAP} bits: {n}^{d} vertices"
-            )
     if process == _LINE:
         bits, work = 2 * n * n, 6 * n * n
         layout = f"{n} rows and {n} degree masks of {n} bits"
@@ -315,13 +308,13 @@ class _Packed:
     of vertices.
     """
 
-    def __init__(self, n: int, d: int) -> None:
-        self.n, self.d, self.size = n, d, n**d
-        self.degree = d * (n - 1)
+    def __init__(self, space: HammingSpace) -> None:
+        n, self.strides = space.n, space.strides
+        self.n, self.d, self.size = n, len(self.strides), space.size
+        self.degree = self.d * (n - 1)
         self.width = _field_bytes(self.degree)
         self.top = 8 * self.width - 1
         self.one = self._repeat(b"\x01" + bytes(self.width - 1), self.size)
-        self.strides = [n ** (d - 1 - i) for i in range(d)]
         # mask i: every bit of the fields whose digit i is 0.  Built from
         # repeated bytes in linear time: the same int as a long division,
         # which is quadratic in CPython.
@@ -354,16 +347,6 @@ class _Packed:
 
     def ids(self, vertices: int) -> Iterator[int]:
         return compress(range(self.size), self.flags(vertices))
-
-    def is_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are vertices that differ in exactly one digit."""
-        if not (0 <= u < self.size and 0 <= v < self.size):
-            return False
-        n = self.n
-        for s in self.strides:  # most significant first
-            if u // s % n != v // s % n:
-                return u % s == v % s  # every later digit agrees
-        return False
 
     def line_sums(self, frontier: int) -> int:
         """Per field: the frontier's members on the vertex's d lines, the vertex itself d times.
@@ -408,11 +391,11 @@ class _Packed:
             frontier = new
 
 
-def _hamming_pairs(p: _Packed, r: int, seed: Iterable) -> set[Edge]:
+def _hamming_pairs(space: HammingSpace, r: int, seed: Iterable) -> set[Edge]:
     _check_r(r)
     out = set()
     for e in seed:
-        if not p.is_edge(*e):
+        if not space.is_edge(*e):
             raise _not_an_edge(e)
         out.add(normalize_edge(*e))
     return out
@@ -491,12 +474,12 @@ def _packed_closure(space: HammingSpace, r: int, process: str, seed: Iterable):
     no inactive edge left.
     """
     check_packed(space, process)
-    p = _Packed(*_dims(space))
+    p = _Packed(space)
     if process == _VERTEX:
         start = set(_vertex_ids(p.size, r, seed))
         first = p.pack(dict.fromkeys(start, 1))
         return p, start, p.rounds(r, 0, first, first)
-    pairs = _hamming_pairs(p, r, seed)
+    pairs = _hamming_pairs(space, r, seed)
     if process == _LINE:
         return p, pairs, _line_rounds(p.n, r, pairs)
     return p, pairs, _star_rounds(p, r, pairs)

@@ -8,7 +8,9 @@ Vertex indexing of Cartesian products is row-major with the FIRST
 factor major: the product vertex (g, h) gets index g*|V(H)| + h.  A
 Hamming graph on alphabet size n and dimension d consequently encodes
 the point (x_1, ..., x_d) as x_1*n^(d-1) + ... + x_d, i.e. x_1 is the
-most significant coordinate.
+most significant coordinate.  :class:`HammingSpace` holds that geometry
+for every layer: the codec, the strides n^(d-1-i), the edge test and the
+bound on n^d.  The complete graph K_n is the Hamming graph of [0,n)^1.
 
 A graph is stored once, as compressed sparse rows (CSR) of 32-bit
 integers: the neighbors of v are ``targets[offsets[v]:offsets[v+1]]``,
@@ -211,7 +213,11 @@ class Graph:
 
 
 class HammingSpace:
-    """Codec between flat vertex indices and points of [0,n)^d; read-only and hashable."""
+    """The points of [0,n)^d and the geometry of K_n^d; read-only and hashable.
+
+    The codec, the strides, the edge test and the bound on n^d that every
+    layer reads; read the strides once n^d is bounded.  n = 1 is one vertex.
+    """
 
     n: int
     d: int
@@ -238,6 +244,33 @@ class HammingSpace:
     def size(self) -> int:
         return self.n**self.d
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """n^(d-1-i) per coordinate i, most significant first; K_1's (1,) for n = 1."""
+        if self.n == 1:
+            return (1,)
+        return tuple(self.n ** (self.d - 1 - i) for i in range(self.d))
+
+    def capped_size(self, cap: int) -> int:
+        """n^d if at most ``cap``, else the first of n, n^2, ... past it, however large d is."""
+        size = 1
+        if self.n > 1:
+            for _ in range(self.d):
+                size *= self.n
+                if size > cap:
+                    break
+        return size
+
+    def is_edge(self, u: int, v: int) -> bool:
+        """Whether u and v are vertices that differ in exactly one coordinate."""
+        n, strides = self.n, self.strides
+        if not (0 <= u < n * strides[0] and 0 <= v < n * strides[0]):
+            return False
+        for s in strides:  # most significant first
+            if u // s % n != v // s % n:
+                return u % s == v % s  # every later coordinate agrees
+        return False
+
     def encode(self, point: tuple[int, ...]) -> int:
         if len(point) != self.d:
             raise PreconditionError(f"point has {len(point)} coordinates, expected {self.d}")
@@ -258,16 +291,11 @@ class HammingSpace:
 
 
 def make_complete(n: int) -> Graph:
-    """Complete graph on vertices 0..n-1."""
+    """Complete graph on vertices 0..n-1: the Hamming graph of [0,n)^1."""
     if n < 1:
         raise PreconditionError("complete graph needs n >= 1")
     _check_slots("complete graph", n, n * (n - 1) // 2)
-    vertices = list(range(n))
-    targets = array(_INT)
-    for v in range(n):
-        targets.fromlist(vertices[:v])
-        targets.fromlist(vertices[v + 1 :])
-    return Graph(n, _offsets(repeat(n - 1, n)), targets)
+    return make_hamming(HammingSpace(n, 1))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -317,20 +345,16 @@ def make_hamming(space: HammingSpace) -> Graph:
     Raises ResourceLimitError, before allocating, when the graph needs
     more than ``DEFAULT_SLOT_CAP`` CSR slots.
     """
-    n, d = space.n, space.d
-    if n == 1:
-        d = 1  # a single vertex whatever the dimension
-    size = 1
-    for _ in range(d):
-        size *= n
-        _check_slots("Hamming graph", size, 0)  # before n**d can grow huge
+    size = space.capped_size(DEFAULT_SLOT_CAP)
+    _check_slots("Hamming graph", size, 0)  # before strides as large as n^d are formed
+    n, strides = space.n, space.strides
+    d = len(strides)
     degree = d * (n - 1)
     _check_slots("Hamming graph", size, size * degree // 2)
     ids = array(_INT, range(size))
     targets = array(_INT, [0]) * (size * degree)
     sums = [0]  # digit sums of the length-i prefixes, in index order
-    for i in range(d):
-        s = n ** (d - 1 - i)
+    for i, s in enumerate(strides):
         larger = (d - 1 - i) * (n - 1) - 1
         for prefix, t in enumerate(sums):
             first = prefix * n * s  # the first vertex under the prefix

@@ -387,6 +387,28 @@ class TestRejectedInput:
         assert reason["error"] == "FormatError"
         assert "line 1" in reason["reason"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dimw", "{bad}", "--r", "1"],
+            ["search", "{bad}", "--r", "1", "--process", "vertex"],
+            ["simulate", "{bad}", "--r", "1", "--seed", "{good}", "--process", "vertex"],
+            ["simulate", "Kn:3", "--r", "1", "--seed", "{bad}", "--process", "vertex"],
+        ],
+        ids=["dimw", "search", "simulate-graph", "simulate-seed"],
+    )
+    def test_undecodable_file_is_a_format_error(self, tmp_path, capsys, argv):
+        bad, good = tmp_path / "bin.txt", tmp_path / "seed.txt"
+        bad.write_bytes(b"\xff\xfe\x00v 1\n")
+        good.write_text("v 0\n")
+        rc = main([a.format(bad=bad, good=good) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        reason = json.loads(err)
+        assert reason["error"] == "FormatError"
+        assert str(bad) in reason["reason"]
+
     def test_oversized_header(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("p 1000000000 0\n")

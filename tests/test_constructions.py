@@ -1,7 +1,7 @@
-import random
 import re
 import time
 import tracemalloc
+from itertools import product
 from math import ceil, comb
 
 import pytest
@@ -12,10 +12,8 @@ from bootperc.constructions import (
     _check_corner_args,
     carved_corner_set,
     carved_region,
-    corner_masks,
     inner_cut_region,
     line_seed,
-    reflect_region,
     simplex_corner_set,
     simplex_region,
     star_seed_complete,
@@ -32,47 +30,20 @@ def decode_all(n, d, indices):
     return {sp.decode(i) for i in indices}
 
 
-class TestCornerMasks:
-    def test_dim2(self):
-        assert corner_masks(2) == [(0, 0), (1, 1)]
-
-    def test_dim3(self):
-        assert corner_masks(3) == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
-
-    def test_first_two_agree_and_count(self):
-        for d in range(2, 6):
-            masks = corner_masks(d)
-            assert len(masks) == 2 ** (d - 1)
-            assert all(t[0] == t[1] for t in masks)
-
-    def test_rejects_dim1(self):
-        with pytest.raises(PreconditionError):
-            corner_masks(1)
+def corner_masks(d):
+    """All t in {0,1}^d with t_1 = t_2: the corners a region is reflected to."""
+    return [t for t in product((0, 1), repeat=d) if t[0] == t[1]]
 
 
-class TestReflectRegion:
-    def test_corner_swap(self):
-        assert reflect_region({(0, 0)}, (1, 1), 5) == frozenset({(4, 4)})
+def reflect(point, mask, n):
+    """x_i -> n-1-x_i where mask_i = 1."""
+    return tuple(n - 1 - x if t else x for x, t in zip(point, mask))
 
-    def test_identity_mask(self):
-        pts = frozenset({(1, 2), (0, 3)})
-        assert reflect_region(pts, (0, 0), 4) == pts
 
-    def test_single_coordinate(self):
-        got = reflect_region({(1, 0, 4), (0, 1, 4)}, (0, 0, 1), 5)
-        assert got == frozenset({(1, 0, 0), (0, 1, 0)})
-
-    def test_involution(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            n, d = rng.randint(2, 6), rng.randint(2, 4)
-            pts = frozenset(
-                tuple(rng.randrange(n) for _ in range(d)) for _ in range(6)
-            )
-            mask = tuple(rng.randint(0, 1) for _ in range(d))
-            once = reflect_region(pts, mask, n)
-            assert len(once) == len(pts)
-            assert reflect_region(once, mask, n) == pts
+def reference_corners(region, n, d):
+    """Each point of the region, reflected to every corner and encoded."""
+    sp, masks = HammingSpace(n, d), corner_masks(d)
+    return {p: {sp.encode(reflect(p, t, n)) for t in masks} for p in region}
 
 
 class TestVertexSeedDim2:
@@ -232,8 +203,22 @@ class TestCornerSets:
         final = percolate_vertices(g, 6, seed).final
         assert len(final) < g.vertex_count
         for mask in corner_masks(d):
-            reflected = reflect_region({sp.decode(i) for i in final}, mask, n)
-            assert {sp.encode(p) for p in reflected} == final
+            assert {sp.encode(reflect(sp.decode(i), mask, n)) for i in final} == final
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_reflect_and_encode(self, d):
+        # the corner guard admits every case: at most 2^7 * C(12, 8) = 63360 points
+        for r in range(10):
+            for n in (r + 1, r + 2, r + 4):
+                # the carved region is part of the simplex: reflect the simplex once
+                corners = reference_corners(simplex_region(n, r, d), n, d)
+                want = set().union(*corners.values())
+                assert simplex_corner_set(n, r, d) == want, (n, r, d)
+                want = set().union(*map(corners.get, carved_region(n, r, d)))
+                assert carved_corner_set(n, r, d) == want, (n, r, d)
+
+    def test_twelve_dimensional_carved_size(self):
+        assert len(carved_corner_set(6, 5, 12)) == 159744
 
 
 class TestCornerGuard:

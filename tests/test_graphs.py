@@ -115,6 +115,40 @@ class TestHammingSpace:
                 differ = sum(a != b for a, b in zip(sp.decode(i), sp.decode(j)))
                 assert g.has_edge(i, j) == (differ == 1)
 
+    @pytest.mark.parametrize(
+        "n,d",
+        [(1, 1), (1, 3)] + [(n, d) for n in range(2, 5) for d in range(1, 7) if n**d <= 64],
+        ids=str,
+    )
+    def test_edge_test_matches_the_graph(self, n, d):
+        sp = HammingSpace(n, d)
+        g = make_hamming(sp)
+        for u in range(-1, sp.size + 1):
+            for v in range(-1, sp.size + 1):
+                assert sp.is_edge(u, v) == g.has_edge(u, v), (u, v)
+
+    def test_strides(self):
+        assert HammingSpace(3, 4).strides == (27, 9, 3, 1)
+        assert HammingSpace(5, 1).strides == (1,)
+        assert HammingSpace(1, 7).strides == (1,)  # one vertex, as K_1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_capped_size_is_n_to_the_d_up_to_the_cap(self, n):
+        for d in range(1, 9):
+            sp = HammingSpace(n, d)
+            for cap in (0, 1, n**d - 1, n**d):
+                got = sp.capped_size(cap)
+                assert (got > cap) == (n**d > cap), (d, cap)
+                assert got == n**d or got > cap
+
+    @pytest.mark.parametrize("n,d", [(2, 10**6), (10**5, 10**6), (1, 10**6)], ids=str)
+    def test_capped_size_stops_past_the_cap(self, n, d):
+        started = time.perf_counter()
+        sp = HammingSpace(n, d)
+        assert (sp.capped_size(DEFAULT_SLOT_CAP) > DEFAULT_SLOT_CAP) == (n > 1)
+        assert (sp.capped_size(10**4300) > 10**4300) == (n > 1)
+        assert time.perf_counter() - started < 0.1
+
 
 class TestHammingGraph:
     def test_cube(self):

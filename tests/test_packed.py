@@ -204,6 +204,11 @@ class TestGuard:
         assert packed_rounds(1, 10**6, 0, "vertex", []) == (set(), [{0}])
         assert is_percolating_hamming(space, 1, "star", [])
 
+    @pytest.mark.parametrize("process", ["vertex", "star", "line"])
+    def test_one_vertex_is_k1_to_the_guard(self, process):
+        # n = 1 has one axis, as K_1, however large d is
+        check_packed(HammingSpace(1, 10**9), process)
+
     def test_huge_dimension_is_refused_before_n_to_the_d(self):
         with pytest.raises(ResourceLimitError, match="more than 2147483648 bits: 2\\^100000"):
             check_packed(HammingSpace(2, 100_000), "star")
