@@ -205,6 +205,10 @@ def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
 
 
 def cmd_dimw(args: argparse.Namespace) -> int:
+    # the polymethod takes r <= 0 as the zero space, which layer sums need;
+    # a negative threshold on the command line is an input error
+    if args.r < 0:
+        raise PreconditionError("threshold r must be nonnegative")
     g = load_graph(args.graph)
     gammas = _generators(args.generators) if args.generators else None
     coloring = product_coloring_on(g, gammas)

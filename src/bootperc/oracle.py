@@ -61,24 +61,31 @@ Within a cardinality the candidates are walked depth first:
 
 ``engine_calls`` keeps the meaning it had when every candidate was
 handed to the engine: the number of candidates decided, in lexicographic
-order, up to and including the witness.  With ``jobs > 1`` a
-cardinality is split into chunks by its first free element, each chunk
-counts its candidates up to and including its own first witness, and
-the counts of the chunks up to and including the first one with a
-witness are summed: the same total as ``jobs = 1``, so ``engine_calls``
-does not depend on ``jobs``.
+order, up to and including the witness.  The walk is a generator of
+items in that order, each a count of candidates it decided itself (a
+subtree cut by the bound, a last pick that leaves the closure short, or
+a node whose closure is already full: the witness) or a lane leaf still
+to decide.  With ``jobs = 1`` each leaf is decided where the walk
+reaches it.  With ``jobs > 1`` the leaves are farmed out, in order, to
+one process pool per search, whose workers get the rules once, when
+they start; the walk goes on while they work, at most ``_WINDOW``
+leaves ahead of the one read next.  The results are read in walk order
+and the count stops at the first witness, so both paths sum the same
+items, and the witness and ``engine_calls`` do not depend on ``jobs``.
+The leaves still pending then are cancelled.
 
 The budget is checked per cardinality level before enumerating it:
 a level whose subset count would push the total past the budget raises
 instead of starting, which keeps the guard deterministic whether or not
-the level is split across worker processes.
+the level's leaves run in worker processes.
 """
 
 from __future__ import annotations
 
 import os
-from functools import partial
-from itertools import accumulate, repeat
+from collections import deque
+from collections.abc import Iterator
+from itertools import accumulate
 from operator import and_, or_
 from math import comb
 from typing import NamedTuple
@@ -93,6 +100,10 @@ DEFAULT_EDGE_CAP = 20
 # Subtrees of at most this many candidates are decided by one bit-sliced
 # closure (:func:`_leaf`), one lane per candidate.
 _LANES = 1 << 15
+
+# With a pool, the walk runs at most this many lane leaves ahead of the
+# one whose result is read next.
+_WINDOW = 8
 
 # (watch, r, full, sliced, tables): watch[i] lists the rules (count mask,
 # gain mask) whose count mask holds element i; full is the mask of every
@@ -246,9 +257,12 @@ def _unrank(m: int, t: int, c: int) -> tuple[int, ...]:
 
 
 def _leaf(
-    rules: _Rules, bits: list[int], state: int, i: int, need: int
+    rules: _Rules, bits: list[int], state: int, i: int, need: int, prefix: tuple[int, ...]
 ) -> tuple[tuple[int, ...] | None, int]:
-    """:func:`_first` by one closure of every candidate at once: element x
+    """The first of ``combinations(range(i, len(bits)), need)`` whose bits
+    close to full together with ``state``, after ``prefix``, and the
+    number of combinations decided up to and including it (all of them,
+    if none does), by one closure of every candidate at once: element x
     gets an int whose bit c says whether x is active in candidate c."""
     _, r, full, sliced, tables = rules
     m = len(bits) - i
@@ -304,60 +318,92 @@ def _leaf(
     if not hit:
         return None, count
     c = (hit & -hit).bit_length() - 1
-    return tuple(i + y for y in _unrank(m, need, c)), c + 1
+    return prefix + tuple(i + y for y in _unrank(m, need, c)), c + 1
 
 
-def _first(
-    rules: _Rules, bits: list[int], suffix: list[int], state: int, i: int, need: int
-) -> tuple[tuple[int, ...] | None, int]:
-    """The first of ``combinations(range(i, len(bits)), need)`` whose bits
-    close to full together with ``state``, and the number of combinations
-    decided up to and including it (all of them, if none does).
+def _walk(
+    rules: _Rules,
+    bits: list[int],
+    suffix: list[int],
+    state: int,
+    i: int,
+    need: int,
+    prefix: tuple[int, ...] = (),
+) -> Iterator[tuple]:
+    """What decides ``combinations(range(i, len(bits)), need)`` in order:
+    each item is either a pair (witness or None, count) for candidates
+    decided here, or a lane leaf (state, j, need, prefix) for
+    :func:`_leaf`.  A witness is a tuple of positions, ``prefix`` first.
 
     ``state`` is closed and not full, 1 <= need <= len(bits) - i, and
     ``_bound(rules, suffix, state, i)`` holds: callers have checked it,
-    or i = 0, where ``state | suffix[0]`` is every element.
+    or i = 0, where ``state | suffix[0]`` is every element.  The items
+    after a witness are of no use, and consumers stop there.
     """
     n = len(bits)
-    decided = 0
     for j in range(i, n - need + 1):
         if j > i and not _bound(rules, suffix, state, j):
             # the bounds shrink with j: no later candidate percolates either
-            return None, decided + comb(n - j, need)
+            yield None, comb(n - j, need)
+            return
         if comb(n - j, need) <= _LANES:
             # the candidates left are the need-subsets of j..n-1: decide them at once
-            found, count = _leaf(rules, bits, state, j, need)
-            return found, decided + count
-        found, count = _branch(rules, bits, suffix, state, j, need - 1)
-        decided += count
-        if found is not None:
-            return found, decided
-    return None, decided
+            yield state, j, need, prefix
+            return
+        # the candidates that pick j, then need - 1 more after it
+        bit = bits[j]
+        child = state if state & bit else _close(rules, state | bit, bit)
+        if child == rules[2]:
+            yield prefix + tuple(range(j, j + need)), 1
+        elif need == 1:
+            yield None, 1
+        else:
+            yield from _walk(rules, bits, suffix, child, j + 1, need - 1, (*prefix, j))
 
 
-def _branch(
-    rules: _Rules, bits: list[int], suffix: list[int], state: int, j: int, need: int
+# (rules, bits) of the search a pool worker serves, set by _serve
+_served: tuple[_Rules, list[int]] | None = None
+
+
+def _serve(rules: _Rules, bits: list[int]) -> None:
+    global _served
+    _served = rules, bits
+
+
+def _served_leaf(
+    state: int, j: int, need: int, prefix: tuple[int, ...]
 ) -> tuple[tuple[int, ...] | None, int]:
-    """:func:`_first` over the combinations that pick j and then ``need``
-    more, where ``_bound(rules, suffix, state, j)`` holds."""
-    bit = bits[j]
-    if not state & bit:
-        state = _close(rules, state | bit, bit)
-    if state == rules[2]:
-        return tuple(range(j, j + need + 1)), 1
-    if not need:
-        return None, 1
-    found, count = _first(rules, bits, suffix, state, j + 1, need)
-    return (None if found is None else (j, *found)), count
+    return _leaf(*_served, state, j, need, prefix)
 
 
-def _chunk(
-    rules: _Rules, bits: list[int], suffix: list[int], state: int, j: int, need: int
-) -> tuple[tuple[int, ...] | None, int]:
-    """:func:`_branch` for one worker's chunk, whose bound is not yet checked."""
-    if not _bound(rules, suffix, state, j):
-        return None, comb(len(bits) - j - 1, need)
-    return _branch(rules, bits, suffix, state, j, need)
+def _decided(
+    rules: _Rules, bits: list[int], walk: Iterator[tuple], pool
+) -> Iterator[tuple[tuple[int, ...] | None, int]]:
+    """The items of ``walk`` as (witness or None, count), in order.
+
+    Without a pool each leaf is decided here.  With one, the leaves are
+    submitted as the walk reaches them, and the oldest is read once
+    ``_WINDOW`` of them are pending, so the walk runs ahead of the
+    workers by at most that many leaves.
+    """
+    window: deque = deque()  # decided pairs and futures of pending leaves, in walk order
+    pending = 0
+    for item in walk:
+        if len(item) == 4:
+            if pool is None:
+                item = _leaf(rules, bits, *item)
+            else:
+                item = pool.submit(_served_leaf, *item)
+                pending += 1
+        window.append(item)
+        while window and (type(window[0]) is tuple or pending == _WINDOW):
+            head = window.popleft()
+            if type(head) is not tuple:
+                head = head.result()
+                pending -= 1
+            yield head
+    for head in window:
+        yield head if type(head) is tuple else head.result()
 
 
 def _search(
@@ -393,24 +439,19 @@ def _search(
             if extra == 0:
                 found = () if start == full else None
                 calls += 1
-            elif jobs <= 1:
-                found, count = _first(rules, bits, suffix, start, 0, extra)
-                calls += count
             else:
-                chunks = range(len(free) - extra + 1)
-                if pool is None:
-                    from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
+                if jobs > 1 and pool is None:
+                    # only --jobs > 1 pays for the import
+                    from concurrent.futures import ProcessPoolExecutor
 
-                    workers = min(jobs, os.cpu_count() or 1, len(chunks))
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                results = pool.map(
-                    partial(_chunk, rules, bits, suffix, start), chunks, repeat(extra - 1)
-                )
-                found = None
-                for chunk_found, count in results:
-                    if found is None:
-                        calls += count
-                        found = chunk_found
+                    pool = ProcessPoolExecutor(
+                        min(jobs, os.cpu_count() or 1), initializer=_serve, initargs=(rules, bits)
+                    )
+                walk = _walk(rules, bits, suffix, start, 0, extra)
+                for found, count in _decided(rules, bits, walk, pool):
+                    calls += count
+                    if found is not None:
+                        break
             if found is not None:
                 seed = forced | _mask(free[j] for j in found)
                 witness = tuple(x for x in range(size) if seed >> x & 1)
@@ -419,7 +460,8 @@ def _search(
                 return SearchResult(len(witness), witness, calls)
     finally:
         if pool is not None:
-            pool.shutdown()
+            # the leaves not yet started are of no use; the workers exit normally
+            pool.shutdown(cancel_futures=True)
     raise AssertionError("the full element set always percolates")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from concurrent.futures import Future
 
 from bootperc.graphs import Graph
 
@@ -28,8 +29,9 @@ def random_edge_seed(rng: random.Random, g: Graph) -> frozenset[tuple[int, int]]
 
 class RecordingExecutor:
     """Stand-in for ProcessPoolExecutor: records ``max_workers`` and the
-    number of tasks of each ``map``, and runs the tasks in the calling
-    process, so no test ever starts a large pool."""
+    number of tasks of each ``map`` (one per ``submit``), and runs the
+    initializer and the tasks in the calling process, so no test ever
+    starts a large pool."""
 
     created: list[int] = []
     tasks: list[int] = []
@@ -39,15 +41,26 @@ class RecordingExecutor:
         cls.created.clear()
         cls.tasks.clear()
 
-    def __init__(self, max_workers: int) -> None:
+    def __init__(self, max_workers: int, initializer=None, initargs=()) -> None:
         RecordingExecutor.created.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def map(self, fn, *iterables):
         results = list(map(fn, *iterables))
         RecordingExecutor.tasks.append(len(results))
         return iter(results)
 
-    def shutdown(self, wait: bool = True) -> None:
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        RecordingExecutor.tasks.append(1)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         pass
 
     def __enter__(self):

@@ -271,11 +271,9 @@ class TestSearch:
         assert main([*args, "--jobs", "100000"]) == 0
         many = capsys.readouterr().out
         # one pool for the whole search, no wider than the machine or the
-        # chunks of the first level it runs
+        # jobs asked for
         assert RecordingExecutor.tasks
-        assert RecordingExecutor.created == [
-            min(os.cpu_count() or 1, RecordingExecutor.tasks[0])
-        ]
+        assert RecordingExecutor.created == [min(100000, os.cpu_count() or 1)]
         assert main([*args, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == many
 
@@ -337,6 +335,20 @@ class TestExitCodes:
     def test_negative_threshold_is_exit_1(self, capsys, family, n, r, d):
         argv = ["construct", "--family", family, "--n", str(n), "--r", str(r)]
         assert main(argv + ([] if d is None else ["--d", str(d)])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "PreconditionError",
+            "reason": "threshold r must be nonnegative",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["Kn:3", "--r", "-1"], ["Hamming:3,2", "--r", "-5", "--details"]],
+        ids=["Kn3", "H32-details"],
+    )
+    def test_dimw_negative_threshold_is_exit_1(self, capsys, argv):
+        assert main(["dimw", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {

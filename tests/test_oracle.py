@@ -1,7 +1,9 @@
 import concurrent.futures
+import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from math import ceil
 
@@ -259,11 +261,10 @@ class TestParallelSearch:
             (0, 1, 5, 7, 11, 18),
             72621,
         )
-        # several levels ran in parallel, all on the one pool
+        # several leaves ran in parallel, all on the one pool, no wider
+        # than the machine or the jobs asked for
         assert len(RecordingExecutor.tasks) > 1
-        assert RecordingExecutor.created == [
-            min(os.cpu_count() or 1, RecordingExecutor.tasks[0])
-        ]
+        assert RecordingExecutor.created == [min(100_000, os.cpu_count() or 1)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(sorted(SEARCHES)), st.integers(0, 4))
@@ -279,6 +280,60 @@ class TestParallelSearch:
                 except ResourceLimitError as exc:
                     outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("window", [2, oracle._WINDOW])
+    @pytest.mark.parametrize(
+        "n,d,r,expected",
+        [
+            (3, 3, 3, (6, (0, 1, 2, 12, 16, 22), 103195)),
+            (5, 2, 4, (6, (0, 1, 5, 7, 11, 18), 72621)),
+        ],
+        ids=["H33-r3", "H52-r4"],
+    )
+    def test_the_pool_decides_the_same_leaves(self, monkeypatch, n, d, r, expected, window):
+        # the leaves of the walk at jobs=1, by seed size, and at most a
+        # window more at the witness's size, read past the witness; both
+        # witness levels hold more than 1 + 2 leaves
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(oracle, "_WINDOW", window)
+        leaf = oracle._leaf
+        sizes: list[int] = []
+
+        def counted(rules, bits, state, i, need, prefix):
+            sizes.append(len(prefix) + need)
+            return leaf(rules, bits, state, i, need, prefix)
+
+        monkeypatch.setattr(oracle, "_leaf", counted)
+        g = make_hamming(HammingSpace(n, d))
+        leaves = []
+        for jobs in (1, 3):
+            sizes.clear()
+            assert tuple(min_percolating_vertices(g, r, n**d, jobs=jobs)) == expected
+            leaves.append(Counter(sizes))
+        minimum = expected[0]
+        assert {k: v for k, v in leaves[1].items() if k != minimum} == {
+            k: v for k, v in leaves[0].items() if k != minimum
+        }
+        assert leaves[0][minimum] <= leaves[1][minimum] <= leaves[0][minimum] + window
+
+    def test_a_real_pool_leaves_no_process_behind(self):
+        g = make_hamming(HammingSpace(5, 2))
+        result = min_percolating_vertices(g, 4, jobs=2)
+        assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers see the patched leaf only when forked",
+    )
+    def test_a_worker_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise ArithmeticError("leaf failed")
+
+        monkeypatch.setattr(oracle, "_leaf", broken)
+        with pytest.raises(ArithmeticError, match="leaf failed"):
+            min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_no_pool_without_a_parallel_level(self, monkeypatch):
         RecordingExecutor.reset()
