@@ -10,13 +10,12 @@ on stderr), 0 everything else.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from bootperc import constructions, formulas, oracle
 from bootperc.engine import (
@@ -39,6 +38,9 @@ from bootperc.graphs import (
     make_line_graph,
 )
 from bootperc.polymethod import product_coloring_on, recognized_space_report
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 KNOWN_FAMILIES = ("Kn", "Hamming", "LineK")
 
@@ -162,7 +164,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.rmax < 1:
         raise PreconditionError("--rmax must be at least 1")
+    if args.jobs < 1:
+        raise PreconditionError("--jobs must be at least 1")
     rows = _table_rows(args.d, args.rmax, args.n, args.jobs)
+    import csv  # only table writes CSV; the other commands do not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -228,6 +234,8 @@ def cmd_dimw(args: argparse.Namespace) -> int:
 
 def _generators(text: str) -> list[Fraction | int]:
     """Comma-separated rationals ("2", "5/7"); integral values become ints."""
+    from fractions import Fraction  # only --generators parses rationals
+
     gammas: list[Fraction | int] = []
     for tok in text.split(","):
         try:

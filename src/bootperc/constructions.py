@@ -14,7 +14,6 @@ on boundary lattice points and floating point would misclassify them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import filterfalse
 from math import comb
 
@@ -116,6 +115,8 @@ def _simplex_points(n: int, r: int, d: int) -> list[Point]:
 
 def _in_cut(r: int, d: int):
     """Membership in the inner cut: x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1)."""
+    from fractions import Fraction
+
     delta = Fraction(d - 2, d - 1)
     bound = delta * (-(-r // 2) - 1)
     return lambda p: p[0] + p[1] + delta * sum(p[2:]) < bound

@@ -5,10 +5,13 @@ Bounds are returned as exact rationals; callers format decimals.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, comb, factorial
+from typing import TYPE_CHECKING
 
 from bootperc.errors import PreconditionError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def min_seed_complete(n: int, r: int) -> int:
@@ -67,6 +70,8 @@ def min_seed_hamming_bounds(n: int, r: int, d: int) -> tuple[Fraction, Fraction]
         raise PreconditionError("need d >= 2 and r >= 1")
     if n <= r:
         raise PreconditionError(f"bounds require n >= r+1, got n={n}, r={r}")
+    from fractions import Fraction
+
     delta = Fraction(d - 2, d - 1)
     lower = Fraction(comb(d + r, d + 1), r)
     upper = Fraction((r + 2 * d - 1) ** d - delta**2 * (r - 2) ** d, 2 * factorial(d))

@@ -17,10 +17,13 @@ is involved, so the answer is the rank over the rationals.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
-Number = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Number = int | Fraction
 SparseRow = dict[int, int]
 
 
@@ -31,6 +34,8 @@ def _integer_row(row: Sequence[Number] | Mapping[int, Number]) -> SparseRow:
     if not out:
         return out
     if not all(type(x) is int for x in out.values()):
+        from fractions import Fraction  # integer rows, the common case, never need it
+
         exact = {j: Fraction(x) for j, x in out.items()}
         scale = lcm(*(x.denominator for x in exact.values()))
         out = {j: x.numerator * (scale // x.denominator) for j, x in exact.items()}

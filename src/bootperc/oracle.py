@@ -74,6 +74,12 @@ and the count stops at the first witness, so both paths sum the same
 items, and the witness and ``engine_calls`` do not depend on ``jobs``.
 The leaves still pending then are cancelled.
 
+The pool is started only at the first level with more candidates than
+``_POOL_FROM``, the number in ``_WINDOW`` full lane leaves, and then
+serves every later level.  The levels below it are decided in
+this process at any ``jobs``: their leaves take milliseconds, less than
+importing the pool and forking its workers.
+
 The budget is checked per cardinality level before enumerating it:
 a level whose subset count would push the total past the budget raises
 instead of starting, which keeps the guard deterministic whether or not
@@ -104,6 +110,10 @@ _LANES = 1 << 15
 # With a pool, the walk runs at most this many lane leaves ahead of the
 # one whose result is read next.
 _WINDOW = 8
+
+# A search starts its pool at the first level with more candidates than
+# this; the levels before it run in this process.
+_POOL_FROM = _WINDOW * _LANES
 
 # (watch, r, full, sliced, tables): watch[i] lists the rules (count mask,
 # gain mask) whose count mask holds element i; full is the mask of every
@@ -411,6 +421,8 @@ def _search(
 ) -> SearchResult:
     if r < 0:
         raise PreconditionError("threshold r must be nonnegative")
+    if jobs < 1:
+        raise PreconditionError("jobs must be at least 1")
     if process == "vertex":
         size, kind = g.vertex_count, "vertices"
     else:
@@ -431,7 +443,8 @@ def _search(
     pool = None
     try:
         for extra in range(len(free) + 1):
-            planned += comb(len(free), extra)
+            level = comb(len(free), extra)
+            planned += level
             if planned > max_engine_calls:
                 raise ResourceLimitError(
                     f"search would need more than {max_engine_calls} engine calls"
@@ -440,8 +453,8 @@ def _search(
                 found = () if start == full else None
                 calls += 1
             else:
-                if jobs > 1 and pool is None:
-                    # only --jobs > 1 pays for the import
+                if jobs > 1 and pool is None and level > _POOL_FROM:
+                    # only a level big enough to keep the workers busy pays for the import
                     from concurrent.futures import ProcessPoolExecutor
 
                     pool = ProcessPoolExecutor(

@@ -24,12 +24,14 @@ prime factor already in use.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Edge, Graph, cartesian_product, make_complete, normalize_edge
 from bootperc.linalg import mat_rank
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +66,8 @@ def primes_above(floor: int, k: int) -> list[int]:
 
 
 def _max_prime_factor(value: Fraction | int) -> int:
+    from fractions import Fraction
+
     frac = Fraction(value)
     best = 1
     for m in (abs(frac.numerator), frac.denominator):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bootperc import oracle
 from bootperc.cli import load_graph, main
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, graph_to_text, make_complete, make_hamming, HammingSpace
@@ -267,6 +268,7 @@ class TestSearch:
     def test_jobs_pool_is_capped(self, capsys, monkeypatch):
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(oracle, "_POOL_FROM", 0)  # every level goes to the pool
         args = ["search", "Hamming:4,2", "--r", "3", "--process", "vertex"]
         assert main([*args, "--jobs", "100000"]) == 0
         many = capsys.readouterr().out
@@ -355,6 +357,21 @@ class TestExitCodes:
             "error": "PreconditionError",
             "reason": "threshold r must be nonnegative",
         }
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["search", "Kn:5", "--r", "2", "--process", "star"], "jobs must be at least 1"),
+            (["table", "--d", "2", "--rmax", "3"], "--jobs must be at least 1"),
+        ],
+        ids=["search", "table"],
+    )
+    def test_jobs_below_one_is_exit_1(self, capsys, argv, reason, jobs):
+        assert main([*argv, "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "PreconditionError", "reason": reason}
 
     def test_missing_file_is_exit_1(self, capsys):
         rc = main(["dimw", "/no/such/file", "--r", "2"])
@@ -549,7 +566,7 @@ class TestRejectedInput:
 
 
 class TestStartup:
-    """``import bootperc.cli`` loads every layer, and no pool or dataclass machinery."""
+    """``import bootperc.cli`` loads every layer, and no pool, dataclass, rational or CSV machinery."""
 
     def test_import_footprint(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -561,7 +578,8 @@ class TestStartup:
             check=True,
         ).stdout
         loaded = set(out.split())
-        heavy = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging"}
+        heavy = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging",
+                 "fractions", "decimal", "numbers", "csv"}
         assert sorted(heavy & loaded) == []
         # the benchmark's tracer reads every layer from sys.modules
         layers = ("graphs", "constructions", "engine", "formulas", "oracle", "polymethod", "linalg")

@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -255,6 +255,7 @@ class TestParallelSearch:
     def test_one_capped_pool_per_search(self, monkeypatch):
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(oracle, "_POOL_FROM", 0)  # every level goes to the pool
         result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=100_000)
         assert (result.minimum, result.witness, result.engine_calls) == (
             6,
@@ -273,6 +274,7 @@ class TestParallelSearch:
         search = SEARCHES[process]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+            patch.setattr(oracle, "_POOL_FROM", 0)  # these graphs have no level past the gate
             outcomes = []
             for jobs in (1, 3):
                 try:
@@ -296,6 +298,7 @@ class TestParallelSearch:
         # witness levels hold more than 1 + 2 leaves
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(oracle, "_WINDOW", window)
+        monkeypatch.setattr(oracle, "_POOL_FROM", 0)
         leaf = oracle._leaf
         sizes: list[int] = []
 
@@ -316,7 +319,8 @@ class TestParallelSearch:
         }
         assert leaves[0][minimum] <= leaves[1][minimum] <= leaves[0][minimum] + window
 
-    def test_a_real_pool_leaves_no_process_behind(self):
+    def test_a_real_pool_leaves_no_process_behind(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_POOL_FROM", 0)
         g = make_hamming(HammingSpace(5, 2))
         result = min_percolating_vertices(g, 4, jobs=2)
         assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
@@ -331,6 +335,7 @@ class TestParallelSearch:
             raise ArithmeticError("leaf failed")
 
         monkeypatch.setattr(oracle, "_leaf", broken)
+        monkeypatch.setattr(oracle, "_POOL_FROM", 0)
         with pytest.raises(ArithmeticError, match="leaf failed"):
             min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
         assert multiprocessing.active_children() == []
@@ -341,3 +346,37 @@ class TestParallelSearch:
         assert min_percolating_vertices(make_complete(5), 0, jobs=4).witness == ()
         assert min_percolating_vertices(make_complete(5), 4, jobs=1).minimum == 4
         assert RecordingExecutor.created == []
+
+    def test_no_pool_below_the_gate(self, monkeypatch):
+        # C(25, 6) = 177,100 candidates at the witness level, under 8 full leaves
+        RecordingExecutor.reset()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
+        assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
+        assert RecordingExecutor.created == []
+
+    def test_the_pool_starts_at_the_first_level_past_the_gate(self, monkeypatch):
+        # levels 4, 5 and 6 of the 25 free vertices hold C(25, 4) = 12,650,
+        # 53,130 and 177,100 candidates: with the gate at level 4's count,
+        # levels 5 and 6 run in the pool and the levels before them inline
+        RecordingExecutor.reset()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(oracle, "_POOL_FROM", comb(25, 4))
+        leaf = oracle._leaf
+        inline: set[int] = set()
+        pooled: set[int] = set()
+
+        def counted(rules, bits, state, i, need, prefix):
+            inline.add(len(prefix) + need)
+            return leaf(rules, bits, state, i, need, prefix)
+
+        def counted_served(state, i, need, prefix):
+            pooled.add(len(prefix) + need)
+            return leaf(*oracle._served, state, i, need, prefix)
+
+        monkeypatch.setattr(oracle, "_leaf", counted)
+        monkeypatch.setattr(oracle, "_served_leaf", counted_served)
+        result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
+        assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
+        assert RecordingExecutor.created == [min(2, os.cpu_count() or 1)]
+        assert (inline, pooled) == ({1, 2, 3, 4}, {5, 6})
