@@ -43,7 +43,6 @@ from bootperc.formulas import (
 from bootperc.graphs import (
     Graph,
     HammingSpace,
-    cartesian_product,
     graph_from_text,
     graph_to_text,
     make_complete,
@@ -60,10 +59,7 @@ from bootperc.polymethod import (
     DimReport,
     EdgeColoring,
     is_proper_coloring,
-    lift_coloring,
-    product_coloring,
     product_coloring_on,
-    recognized_space_dim,
     recognized_space_dim_hamming,
     recognized_space_report,
 )
@@ -80,7 +76,6 @@ __all__ = [
     "PreconditionError",
     "ResourceLimitError",
     "SearchResult",
-    "cartesian_product",
     "carved_corner_set",
     "carved_region",
     "graph_from_text",
@@ -91,7 +86,6 @@ __all__ = [
     "is_percolating_hamming",
     "is_percolating_vertices",
     "is_proper_coloring",
-    "lift_coloring",
     "line_seed",
     "make_complete",
     "make_hamming",
@@ -106,9 +100,7 @@ __all__ = [
     "percolate_edges_linegraph",
     "percolate_edges_star",
     "percolate_vertices",
-    "product_coloring",
     "product_coloring_on",
-    "recognized_space_dim",
     "recognized_space_dim_hamming",
     "recognized_space_report",
     "seed_from_text",

@@ -7,9 +7,10 @@ a region to the 2^(d-1) corners with t_1 = t_2 on the ids themselves,
 from the strides of :class:`HammingSpace`.  Edge seeds are normalized
 (min, max) pairs.
 
-All membership tests that involve the weight delta = (d-2)/(d-1) are
-done in exact rational arithmetic: the strict inequality sits exactly
-on boundary lattice points and floating point would misclassify them.
+The membership test of the inner cut, which involves the weight
+delta = (d-2)/(d-1), is multiplied through by d-1 and done in integers:
+the strict inequality sits exactly on boundary lattice points and
+floating point would misclassify them.
 """
 
 from __future__ import annotations
@@ -114,12 +115,13 @@ def _simplex_points(n: int, r: int, d: int) -> list[Point]:
 
 
 def _in_cut(r: int, d: int):
-    """Membership in the inner cut: x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1)."""
-    from fractions import Fraction
+    """Membership in the inner cut: x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1).
 
-    delta = Fraction(d - 2, d - 1)
-    bound = delta * (-(-r // 2) - 1)
-    return lambda p: p[0] + p[1] + delta * sum(p[2:]) < bound
+    With delta = (d-2)/(d-1), multiplied through by d-1 > 0 into integers:
+    (d-1)(x_1+x_2) + (d-2)(x_3+...+x_d) < (d-2)(ceil(r/2)-1).
+    """
+    bound = (d - 2) * (-(-r // 2) - 1)
+    return lambda p: (d - 1) * (p[0] + p[1]) + (d - 2) * sum(p[2:]) < bound
 
 
 def simplex_region(n: int, r: int, d: int) -> Region:
@@ -131,7 +133,7 @@ def simplex_region(n: int, r: int, d: int) -> Region:
 def inner_cut_region(n: int, r: int, d: int) -> Region:
     """Points of [0,n)^d with x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1).
 
-    delta = (d-2)/(d-1); empty for d = 2.  Exact rational comparison.
+    delta = (d-2)/(d-1); empty for d = 2.  Exact integer comparison.
     Members of the cut are always inside the simplex, so only the
     simplex is enumerated.
     """

@@ -5,7 +5,7 @@ Bounds are returned as exact rationals; callers format decimals.
 
 from __future__ import annotations
 
-from math import ceil, comb, factorial
+from math import comb, factorial
 from typing import TYPE_CHECKING
 
 from bootperc.errors import PreconditionError
@@ -29,7 +29,7 @@ def min_seed_hamming_dim2(n: int, r: int) -> int:
     """
     if n < 1 or r < 0:
         raise PreconditionError("need n >= 1 and r >= 0")
-    if n <= ceil(r / 2):
+    if n <= -(-r // 2):  # ceil(r/2)
         return n * n
     return (r + 1) ** 2 // 4
 
@@ -55,7 +55,7 @@ def min_seed_line_complete(n: int, r: int) -> int:
     """
     if n < 2 or r < 0:
         raise PreconditionError("need n >= 2 and r >= 0")
-    if n >= ceil(r / 2) + 2:
+    if n >= -(-r // 2) + 2:  # ceil(r/2) + 2
         return (r + 2) ** 2 // 8
     return comb(n, 2)
 

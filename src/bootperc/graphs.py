@@ -4,11 +4,10 @@ Everything here is a finite, undirected, simple graph with vertices
 indexed 0..n-1.  Graphs are immutable after construction and safe to
 share between threads or worker processes.
 
-Vertex indexing of Cartesian products is row-major with the FIRST
-factor major: the product vertex (g, h) gets index g*|V(H)| + h.  A
-Hamming graph on alphabet size n and dimension d consequently encodes
-the point (x_1, ..., x_d) as x_1*n^(d-1) + ... + x_d, i.e. x_1 is the
-most significant coordinate.  :class:`HammingSpace` holds that geometry
+A Hamming graph on alphabet size n and dimension d encodes the point
+(x_1, ..., x_d) as x_1*n^(d-1) + ... + x_d, i.e. x_1 is the most
+significant coordinate, as in the Cartesian product of d copies of K_n
+with the first factor major.  :class:`HammingSpace` holds that geometry
 for every layer: the codec, the strides n^(d-1-i), the edge test and the
 bound on n^d.  The complete graph K_n is the Hamming graph of [0,n)^1.
 
@@ -34,7 +33,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add
 from typing import Iterable
 
 from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
@@ -298,40 +296,11 @@ def make_complete(n: int) -> Graph:
     return make_hamming(HammingSpace(n, 1))
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product with (g_i, h_j) indexed as g_i * |V(h)| + h_j.
-
-    Two product vertices are adjacent iff they agree in one factor and
-    are adjacent in the other.
-    """
-    if g.vertex_count == 0 or h.vertex_count == 0:
-        raise PreconditionError("cartesian_product needs nonempty factors")
-    m = h.vertex_count
-    _check_slots(
-        "Cartesian product",
-        g.vertex_count * m,
-        g.edge_count * m + h.edge_count * g.vertex_count,
-    )
-    h_rows = [h.targets[h.offsets[j] : h.offsets[j + 1]] for j in range(m)]
-    targets = array(_INT)
-    for i in range(g.vertex_count):
-        # row (i, j): (i', j) for i' < i, then (i, j') for j' ~ j, then (i', j) for i' > i
-        g_row = [w * m for w in g.targets[g.offsets[i] : g.offsets[i + 1]]]
-        split = bisect_left(g_row, i * m)
-        below, above = g_row[:split], g_row[split:]
-        for j, h_row in enumerate(h_rows):
-            targets.extend(map(add, below, repeat(j)))
-            targets.extend(map(add, h_row, repeat(i * m)))
-            targets.extend(map(add, above, repeat(j)))
-    degrees = (g.degree(i) + h.degree(j) for i in range(g.vertex_count) for j in range(m))
-    return Graph(g.vertex_count * m, _offsets(degrees), targets)
-
-
 def make_hamming(space: HammingSpace) -> Graph:
     """Hamming graph on [0,n)^d: vertices adjacent iff they differ in one coordinate.
 
-    Writes the rows directly from the codec's strides rather than via
-    iterated products, so the two constructions can be cross-checked.
+    Writes the rows directly from the codec's strides; the tests require
+    the graph equal to the iterated Cartesian product of K_n.
     Row x = (p_0, ..., p_{d-1}) lists the smaller neighbors coordinate by
     coordinate, most significant first, then the larger ones, least
     significant first, so the rows come out sorted.  The slots of

@@ -17,9 +17,11 @@ is one exact integer rank, of C, computed by ``bootperc.linalg``.
 
 Colorings here are product-form: vertex generators gamma_i are primes
 and c(ij) = gamma_i * gamma_j.  Primes make every needed distinctness
-property certain (unique factorization) instead of probabilistic, and
-lifting to a Cartesian product just takes fresh primes larger than any
-prime factor already in use.
+property certain (unique factorization) instead of probabilistic.  On
+K_n^d the coloring is lifted coordinate by coordinate: each coordinate
+colors its edges from n primes of its own, larger than those of the
+coordinates before it, and ``_hamming_coloring`` reads the color of an
+edge off the strides of :class:`HammingSpace`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
-from bootperc.graphs import Edge, Graph, cartesian_product, make_complete, normalize_edge
+from bootperc.graphs import Edge, Graph, HammingSpace, make_hamming, normalize_edge
 from bootperc.linalg import mat_rank
 
 if TYPE_CHECKING:
@@ -51,35 +53,13 @@ def _is_prime(m: int) -> bool:
 
 
 def first_primes(k: int) -> list[int]:
-    return primes_above(1, k)
-
-
-def primes_above(floor: int, k: int) -> list[int]:
-    """The first k primes strictly greater than ``floor``."""
     out: list[int] = []
-    candidate = max(floor, 1) + 1
+    candidate = 2
     while len(out) < k:
         if _is_prime(candidate):
             out.append(candidate)
         candidate += 1
     return out
-
-
-def _max_prime_factor(value: Fraction | int) -> int:
-    from fractions import Fraction
-
-    frac = Fraction(value)
-    best = 1
-    for m in (abs(frac.numerator), frac.denominator):
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                best = max(best, d)
-                m //= d
-            d += 1
-        if m > 1:
-            best = max(best, m)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -129,42 +109,25 @@ def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
     return coloring
 
 
-def product_coloring(n: int) -> EdgeColoring:
-    """Prime product coloring of the complete graph on n vertices."""
-    if n < 2:
-        raise PreconditionError("product coloring needs n >= 2")
-    return product_coloring_on(make_complete(n))
+def _hamming_coloring(space: HammingSpace) -> EdgeColoring:
+    """The prime coloring of K_n^d lifted coordinate by coordinate, read off the strides.
 
-
-def lift_coloring(g: Graph, coloring: EdgeColoring, n: int) -> EdgeColoring:
-    """Extend a proper coloring of g to the Cartesian product with K_n.
-
-    Copy edges keep their color; the edge between fibers j and k over a
-    base vertex i gets gamma_j*gamma_k from n fresh primes, all larger
-    than every prime factor occurring in the image of the input
-    coloring.  Vertex (i, j) of the product has index i*n + j.
+    Coordinate i, most significant first, owns the primes P[i*n : (i+1)*n]
+    of P = ``first_primes(d*n)``.  An edge whose coordinate i changes from
+    digit a to digit b gets P[i*n+a] * P[i*n+b]: the product coloring of
+    K_n on coordinate 0, and on each later coordinate n primes larger than
+    every prime already in use.
     """
-    if n < 1:
-        raise PreconditionError("lift needs n >= 1")
-    if not is_proper_coloring(g, coloring):
-        raise PreconditionError("input coloring is not proper")
-    limit = 1
-    for value in coloring.colors.values():
-        limit = max(limit, _max_prime_factor(value))
-    gammas = primes_above(limit, n)
+    n, strides = space.n, space.strides
+    primes = first_primes(len(strides) * n)
     colors: dict[Edge, Fraction | int] = {}
-    for a, b in zip(g.tails, g.heads):
-        for j in range(n):
-            colors[(a * n + j, b * n + j)] = coloring.colors[(a, b)]
-    for i in range(g.vertex_count):
-        for j in range(n):
-            for k in range(j + 1, n):
-                colors[(i * n + j, i * n + k)] = gammas[j] * gammas[k]
-    lifted = EdgeColoring(colors)
-    product = cartesian_product(g, make_complete(n))
-    if not is_proper_coloring(product, lifted):
-        raise AssertionError("lifted coloring failed the properness check")
-    return lifted
+    for i, s in enumerate(strides):
+        gammas = primes[i * n : (i + 1) * n]
+        for u in range(n * strides[0]):
+            a = u // s % n
+            for b in range(a + 1, n):
+                colors[(u, u + (b - a) * s)] = gammas[a] * gammas[b]
+    return EdgeColoring(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +230,22 @@ def recognized_space_report(
     return DimReport(stacked_rank - rank, g.edge_count, ncols, ncols - rank)
 
 
-def recognized_space_dim(g: Graph, coloring: EdgeColoring, r: int) -> int:
-    return recognized_space_report(g, coloring, r).dim
-
-
 def recognized_space_dim_hamming(
     n: int, r: int, d: int, cost_cap: int = DEFAULT_COST_CAP
 ) -> int:
     """Recognized-space dimension on the Hamming graph with the lifted coloring.
 
-    Builds the d-fold product of the complete graph together with the
-    iterated lift of the prime product coloring and computes the
-    dimension; for n >= r+1 the result equals C(d+r, d+1).  The cost
-    guard is checked from (n, d) before the product is built.
+    Builds K_n^d with ``make_hamming`` and colors it with
+    ``_hamming_coloring``; for n >= r+1 the result equals C(d+r, d+1).
+    The cost guard is checked from (n, d) before the graph is built: an
+    n^d past the cap already costs more than the cap.
     """
     if d < 1 or r < 1:
         raise PreconditionError("need d >= 1 and r >= 1")
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
-    vertices = 1
-    for dim in range(1, d + 1):  # H(n, dim) costs no more than H(n, d): stop before n**d grows
-        vertices *= n
-        _check_cost(vertices, vertices * dim * (n - 1) // 2, r, cost_cap)
-    g = make_complete(n)
-    coloring = product_coloring(n)
-    for _ in range(d - 1):
-        coloring = lift_coloring(g, coloring, n)
-        g = cartesian_product(g, make_complete(n))
-    return recognized_space_report(g, coloring, r, cost_cap).dim
-
+    space = HammingSpace(n, d)
+    size = space.capped_size(cost_cap)
+    _check_cost(size, size * d * (n - 1) // 2, r, cost_cap)
+    g = make_hamming(space)
+    return recognized_space_report(g, _hamming_coloring(space), r, cost_cap).dim

@@ -30,7 +30,6 @@ from bootperc.engine import (
 from bootperc.formulas import min_seed_hamming_bounds
 from bootperc.graphs import (
     HammingSpace,
-    cartesian_product,
     make_complete,
     make_hamming,
     make_line_graph,
@@ -41,14 +40,10 @@ from bootperc.oracle import (
     min_percolating_edges_star,
     min_percolating_vertices,
 )
-from bootperc.polymethod import (
-    first_primes,
-    lift_coloring,
-    product_coloring,
-    recognized_space_dim,
-)
+from bootperc.polymethod import first_primes
 
 from conftest import random_edge_seed, random_graph, random_vertex_seed
+from reference_lift import cartesian_product, lift_coloring, product_coloring, recognized_space_dim
 from reference_simplex import count_weighted_simplex, weighted_simplex_bounds
 from reference_witnesses import complete_graph_witnesses, evaluate, witness_value_matrix
 

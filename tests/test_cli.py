@@ -585,6 +585,28 @@ class TestStartup:
         layers = ("graphs", "constructions", "engine", "formulas", "oracle", "polymethod", "linalg")
         assert sorted({f"bootperc.{m}" for m in layers} - loaded) == []
 
+    @pytest.mark.parametrize(
+        "code,answer",
+        [
+            ('bootperc.cli.main(["verify", "--family", "c", "--n", "9", "--r", "8", "--d", "5"])',
+             "PERCOLATES size=560"),
+            ("print(bootperc.polymethod.recognized_space_dim_hamming(5, 4, 2))", "20"),
+        ],
+        ids=["verify-c", "lifted-dimension"],
+    )
+    def test_integer_paths_load_no_rationals(self, code, answer):
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys, bootperc.cli; {code}; print(*sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        printed, loaded = out.split("\n", 1)
+        assert printed == answer
+        assert sorted({"fractions", "decimal", "numbers"} & set(loaded.split())) == []
+
     def test_library_runs_without_the_tests(self, tmp_path):
         # every exported name and the benchmark's library snippet resolve from src/ alone
         src = Path(__file__).resolve().parent.parent / "src"

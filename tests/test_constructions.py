@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from math import ceil, comb
 
@@ -119,6 +120,16 @@ class TestRegions:
         region = inner_cut_region(7, 6, 4)
         assert (0, 0, 2, 0) not in region
         assert (0, 0, 1, 0) in region  # 2/3 < 4/3
+
+    def test_integer_cut_equals_the_rational_cut(self):
+        for d in range(2, 9):
+            delta = Fraction(d - 2, d - 1)
+            for r in range(0, 13):
+                bound = delta * (ceil(r / 2) - 1)
+                in_cut = constructions._in_cut(r, d)
+                for p in constructions._simplex_points(r + 1, r, d):
+                    rational = p[0] + p[1] + delta * sum(p[2:]) < bound
+                    assert in_cut(p) == rational, (r, d, p)
 
     def test_carved_inside_simplex(self):
         for d in (2, 3, 4):

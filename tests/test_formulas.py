@@ -42,6 +42,12 @@ class TestClosedForms:
         assert min_seed_line_complete(9, 0) == 0
         assert min_seed_line_complete(4, 1) == 1
 
+    def test_threshold_past_float_precision(self):
+        # ceil(r/2) = 2^59 + 5, which float division rounds to 2^59
+        r = 2**60 + 9
+        assert min_seed_hamming_dim2(2**59 + 1, r) == (2**59 + 1) ** 2
+        assert min_seed_line_complete(2**59 + 2, r) == comb(2**59 + 2, 2)
+
 
 class TestHammingBounds:
     def test_frozen_example(self):

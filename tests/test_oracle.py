@@ -27,7 +27,7 @@ from bootperc.oracle import (
     min_percolating_edges_star,
     min_percolating_vertices,
 )
-from bootperc.polymethod import product_coloring_on, recognized_space_dim
+from bootperc.polymethod import product_coloring_on, recognized_space_report
 
 from conftest import RecordingExecutor, random_graph
 
@@ -233,8 +233,8 @@ class TestPolynomialLowerBound:
         g = random_graph(random.Random(seed))
         assume(g.edge_count <= DEFAULT_EDGE_CAP)
         line = make_line_graph(g)
-        dim = recognized_space_dim(g, product_coloring_on(g), r)
-        line_dim = recognized_space_dim(line, product_coloring_on(line), r)
+        dim = recognized_space_report(g, product_coloring_on(g), r).dim
+        line_dim = recognized_space_report(line, product_coloring_on(line), r).dim
         assert min_percolating_edges_star(g, r).minimum >= dim
         assert min_percolating_vertices(g, r).minimum >= ceil(dim / r)
         assert min_percolating_edges_line(g, r).minimum >= ceil(line_dim / r)

@@ -5,20 +5,26 @@ from math import comb
 
 import pytest
 
+from bootperc import polymethod
 from bootperc.errors import PreconditionError, ResourceLimitError
-from bootperc.graphs import cartesian_product, make_complete
+from bootperc.graphs import HammingSpace, make_complete, make_hamming
 from bootperc.linalg import mat_rank
 from bootperc.polymethod import (
     EdgeColoring,
+    _hamming_coloring,
     first_primes,
     is_proper_coloring,
+    product_coloring_on,
+    recognized_space_dim_hamming,
+    recognized_space_report,
+)
+from reference_lift import (
+    cartesian_product,
+    iterated_lift,
     lift_coloring,
     primes_above,
     product_coloring,
-    product_coloring_on,
     recognized_space_dim,
-    recognized_space_dim_hamming,
-    recognized_space_report,
 )
 from reference_witnesses import complete_graph_witnesses, evaluate, witness_value_matrix
 
@@ -142,11 +148,23 @@ class TestLiftInequality:
         assert recognized_space_dim(product, lifted, r) >= layer_sum
 
 
+class TestHammingColoring:
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(2, 6) for d in range(1, 5) if n**d <= 700], ids=str
+    )
+    def test_matches_the_iterated_lift(self, n, d):
+        g, lifted = iterated_lift(n, d)
+        space = HammingSpace(n, d)
+        assert g == make_hamming(space)
+        assert _hamming_coloring(space).colors == lifted.colors
+
+
 class TestHammingDimension:
     def test_frozen_values(self):
         assert recognized_space_dim_hamming(3, 1, 2) == 1
         assert recognized_space_dim_hamming(4, 2, 2) == 4
         assert recognized_space_dim_hamming(4, 3, 1) == 6
+        assert recognized_space_dim_hamming(5, 4, 2) == 20
 
     def test_matches_binomial(self):
         for n, r, d in [(3, 2, 2), (4, 1, 2), (3, 1, 3)]:
@@ -158,9 +176,12 @@ class TestHammingDimension:
         assert recognized_space_dim_hamming(n, r, 3) == comb(3 + r, 3 + 1)
         assert time.perf_counter() - started < 10.0
 
-    def test_variable_cap(self):
+    def test_variable_cap(self, monkeypatch):
+        monkeypatch.setattr(polymethod, "make_hamming", None)  # refused before any graph
         with pytest.raises(ResourceLimitError):
             recognized_space_dim_hamming(4, 2, 2, cost_cap=10)
+        with pytest.raises(ResourceLimitError):
+            recognized_space_dim_hamming(3, 2, 10**9)  # n^d past the cap is not formed
 
     def test_rejects_unproven_range(self):
         with pytest.raises(PreconditionError):

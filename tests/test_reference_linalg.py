@@ -5,22 +5,10 @@ from fractions import Fraction
 import pytest
 
 import reference_linalg as ref
-from bootperc.graphs import HammingSpace, cartesian_product, make_complete, make_hamming
+from bootperc.graphs import HammingSpace, make_complete, make_hamming
 from bootperc.linalg import mat_rank
-from bootperc.polymethod import (
-    lift_coloring,
-    product_coloring,
-    product_coloring_on,
-    recognized_space_report,
-)
-
-
-def lifted(n, d):
-    g, coloring = make_complete(n), product_coloring(n)
-    for _ in range(d - 1):
-        coloring = lift_coloring(g, coloring, n)
-        g = cartesian_product(g, make_complete(n))
-    return g, coloring
+from bootperc.polymethod import product_coloring_on, recognized_space_report
+from reference_lift import iterated_lift, product_coloring
 
 
 def hamming(n, d):
@@ -39,7 +27,7 @@ CASES = (
      for n in range(2, 7) for r in range(n)]
     + [(f"Hamming:{n},{d}", lambda n=n, d=d: hamming(n, d), r)
        for n, d, rmax in ((3, 2, 4), (3, 3, 3), (4, 2, 4)) for r in range(1, rmax + 1)]
-    + [(f"lifted:{n},{d}", lambda n=n, d=d: lifted(n, d), r)
+    + [(f"lifted:{n},{d}", lambda n=n, d=d: iterated_lift(n, d), r)
        for n, d in ((4, 2), (3, 3)) for r in (1, 2, 3)]
     + [("K5:1/2,3,5/7,2,11", rational_k5, r) for r in (1, 2, 3, 4)]
 )
