@@ -21,13 +21,9 @@ from bootperc.constructions import (
 )
 from bootperc.engine import (
     ActivationTrace,
-    is_percolating_edges_line,
-    is_percolating_edges_star,
+    is_percolating,
     is_percolating_hamming,
-    is_percolating_vertices,
-    percolate_edges_linegraph,
-    percolate_edges_star,
-    percolate_vertices,
+    percolate,
     seed_from_text,
     seed_to_text,
     trace_to_jsonable,
@@ -49,12 +45,7 @@ from bootperc.graphs import (
     make_hamming,
     make_line_graph,
 )
-from bootperc.oracle import (
-    SearchResult,
-    min_percolating_edges_line,
-    min_percolating_edges_star,
-    min_percolating_vertices,
-)
+from bootperc.oracle import SearchResult, min_percolating
 from bootperc.polymethod import (
     DimReport,
     EdgeColoring,
@@ -81,25 +72,19 @@ __all__ = [
     "graph_from_text",
     "graph_to_text",
     "inner_cut_region",
-    "is_percolating_edges_line",
-    "is_percolating_edges_star",
+    "is_percolating",
     "is_percolating_hamming",
-    "is_percolating_vertices",
     "is_proper_coloring",
     "line_seed",
     "make_complete",
     "make_hamming",
     "make_line_graph",
-    "min_percolating_edges_line",
-    "min_percolating_edges_star",
-    "min_percolating_vertices",
+    "min_percolating",
     "min_seed_complete",
     "min_seed_hamming_bounds",
     "min_seed_hamming_dim2",
     "min_seed_line_complete",
-    "percolate_edges_linegraph",
-    "percolate_edges_star",
-    "percolate_vertices",
+    "percolate",
     "product_coloring_on",
     "recognized_space_dim_hamming",
     "recognized_space_report",

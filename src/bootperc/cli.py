@@ -21,14 +21,18 @@ from bootperc import constructions, formulas, oracle
 from bootperc.engine import (
     check_packed,
     is_percolating_hamming,
-    percolate_edges_linegraph,
-    percolate_edges_star,
-    percolate_vertices,
+    percolate,
     seed_from_text,
     seed_to_text,
     trace_to_jsonable,
 )
-from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
+from bootperc.errors import (
+    PROCESSES,
+    FormatError,
+    PreconditionError,
+    ResourceLimitError,
+    check_threshold,
+)
 from bootperc.graphs import (
     Graph,
     HammingSpace,
@@ -114,14 +118,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.process == "vertex":
         if edges:
             raise PreconditionError("vertex process needs a vertex seed, found edges")
-        trace = percolate_vertices(g, args.r, vertices)
-        percolated = len(trace.final) == g.vertex_count
+        seed, size = vertices, g.vertex_count
     else:
         if vertices:
             raise PreconditionError("edge process needs an edge seed, found vertices")
-        run = percolate_edges_star if args.process == "star" else percolate_edges_linegraph
-        trace = run(g, args.r, edges)
-        percolated = len(trace.final) == g.edge_count
+        seed, size = edges, g.edge_count
+    trace = percolate(g, args.r, args.process, seed)
+    percolated = len(trace.final) == size
     _emit(json.dumps(trace_to_jsonable(trace, percolated)) + "\n", args.out)
     return 0
 
@@ -213,8 +216,7 @@ def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
 def cmd_dimw(args: argparse.Namespace) -> int:
     # the polymethod takes r <= 0 as the zero space, which layer sums need;
     # a negative threshold on the command line is an input error
-    if args.r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
+    check_threshold(args.r)
     g = load_graph(args.graph)
     gammas = _generators(args.generators) if args.generators else None
     coloring = product_coloring_on(g, gammas)
@@ -246,19 +248,9 @@ def _generators(text: str) -> list[Fraction | int]:
     return gammas
 
 
-_SEARCHES = {
-    "vertex": oracle.min_percolating_vertices,
-    "star": oracle.min_percolating_edges_star,
-    "line": oracle.min_percolating_edges_line,
-}
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    cap = args.cap
-    if cap is None:
-        cap = oracle.DEFAULT_VERTEX_CAP if args.process == "vertex" else oracle.DEFAULT_EDGE_CAP
-    result = _SEARCHES[args.process](g, args.r, cap, args.max_calls, args.jobs)
+    result = oracle.min_percolating(g, args.r, args.process, args.cap, args.max_calls, args.jobs)
     _emit(json.dumps(result._asdict()) + "\n", args.out)
     return 0
 
@@ -274,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file or family spec (Kn:4, Hamming:4,2, LineK:5)")
     p.add_argument("--r", type=int, required=True, help="activation threshold")
     p.add_argument("--seed", required=True, help="seed file (v/e lines)")
-    p.add_argument("--process", choices=("vertex", "star", "line"), required=True)
+    p.add_argument("--process", choices=PROCESSES, required=True)
     p.add_argument("--out", help="write the trace JSON here instead of stdout")
     p.set_defaults(fn=cmd_simulate)
 
@@ -315,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive minimum percolating seed")
     p.add_argument("graph", help="graph file or family spec")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--process", choices=("vertex", "star", "line"), required=True)
+    p.add_argument("--process", choices=PROCESSES, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-calls", type=int, default=oracle.DEFAULT_ENGINE_CALL_BUDGET)
-    p.add_argument("--cap", type=int, help="override the vertex/edge search cap")
+    p.add_argument("--cap", type=int, help="vertex or edge search cap (default by process)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from math import comb
 
-from bootperc.errors import PreconditionError, ResourceLimitError
+from bootperc.errors import PreconditionError, ResourceLimitError, check_threshold
 from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, HammingSpace
 
 Point = tuple[int, ...]
@@ -36,11 +36,6 @@ Region = frozenset[Point]
 _SEED_CAP = DEFAULT_SLOT_CAP // 16
 
 
-def _check_threshold(r: int) -> None:
-    if r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
-
-
 def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
     """Minimum percolating vertex seed for the two-dimensional Hamming graph.
 
@@ -49,7 +44,7 @@ def vertex_seed_dim2(n: int, r: int) -> frozenset[int]:
     Size is floor((r+1)^2/4) and the set percolates at threshold r
     whenever n >= ceil(r/2)+1.
     """
-    _check_threshold(r)
+    check_threshold(r)
     hi = -(-r // 2)  # ceil(r/2)
     lo = r // 2
     if n <= hi:
@@ -77,7 +72,7 @@ def _too_many_edges(what: str, size: object) -> ResourceLimitError:
 
 
 def _check_corner_args(n: int, r: int, d: int) -> None:
-    _check_threshold(r)
+    check_threshold(r)
     if d < 2:
         raise PreconditionError("corner constructions need d >= 2")
     if n <= r:
@@ -188,7 +183,7 @@ def star_seed_complete(n: int, r: int) -> frozenset[Edge]:
     C(r+1, 2) edges; percolates the star process at threshold r for
     n >= r+1.
     """
-    _check_threshold(r)
+    check_threshold(r)
     if n <= r:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
     size = r * (r + 1) // 2
@@ -206,7 +201,7 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
     edge is built.  The seeds are built bottom-up, one dimension at a
     time, so d is not bounded by the recursion limit.
     """
-    _check_threshold(r)
+    check_threshold(r)
     if d < 1:
         raise PreconditionError("star seed needs d >= 1")
     if n <= r:
@@ -237,7 +232,7 @@ def line_seed(n: int, r: int) -> frozenset[Edge]:
     is guaranteed by n >= ceil(r/2)+2 and asserted.  The size is checked
     against the seed cap before any edge is built.
     """
-    _check_threshold(r)
+    check_threshold(r)
     h = -(-r // 2)
     if n < h + 2:
         raise PreconditionError(f"need n >= ceil(r/2)+2, got n={n}, r={r}")

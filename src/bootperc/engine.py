@@ -16,6 +16,12 @@ given everything active after step i-1.
 With r = 0 every element qualifies immediately, so round 1 activates
 everything not already in the seed, even from an empty seed.
 
+Each operation has one entry point that takes the process by name,
+"vertex", "star" or "line" (``errors.PROCESSES``), after the graph and
+the threshold: :func:`percolate` and :func:`is_percolating` on any
+:class:`Graph`, :func:`is_percolating_hamming` on K_n^d.  Any other name
+is a PreconditionError.
+
 Edge seeds may hold (u, v) pairs, in either order, or edge ids
 (positions in ``g.edge_list()``).
 
@@ -41,9 +47,9 @@ process, on K_n only, keeps one bitmask row per vertex.  Their rounds
 are the CSR kernel's, and :func:`check_packed` bounds their memory and
 their work per round before anything is built.
 
-Sets of vertices or edge pairs are built only for an
-:class:`ActivationTrace`; ``is_percolating_*`` just count the activated
-elements.
+Sets of vertices or edge pairs are built only for the
+:class:`ActivationTrace` of :func:`percolate`; ``is_percolating`` and
+``is_percolating_hamming`` just count the activated elements.
 """
 
 from __future__ import annotations
@@ -52,10 +58,17 @@ from collections import Counter
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
-from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
+from bootperc.errors import (
+    PROCESSES,
+    FormatError,
+    PreconditionError,
+    ResourceLimitError,
+    check_process,
+    check_threshold,
+)
 from bootperc.graphs import Edge, Graph, HammingSpace, normalize_edge
 
-_VERTEX, _STAR, _LINE = "vertex", "star", "line"
+_VERTEX, _STAR, _LINE = PROCESSES
 
 
 class ActivationTrace(NamedTuple):
@@ -75,13 +88,8 @@ class ActivationTrace(NamedTuple):
         return len(self.rounds)
 
 
-def _check_r(r: int) -> None:
-    if r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
-
-
 def _vertex_ids(count: int, r: int, seed: Iterable[int]) -> list[int]:
-    _check_r(r)
+    check_threshold(r)
     out = list(seed)
     if out and (min(out) < 0 or max(out) >= count):
         bad = next(v for v in out if not 0 <= v < count)
@@ -94,7 +102,7 @@ def _not_an_edge(e) -> PreconditionError:
 
 
 def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
-    _check_r(r)
+    check_threshold(r)
     m = g.edge_count
     out = []
     for e in seed:
@@ -111,13 +119,20 @@ def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
 
 
 def _closure(
-    g: Graph, r: int, process: str, seed: list[int]
+    g: Graph, r: int, process: str, seed: Iterable
 ) -> tuple[list[int], list[list[int]]]:
-    """The kernel: (distinct seed ids, rounds of newly active ids) under ``process``."""
+    """The kernel: (distinct seed ids, rounds of newly active ids) under ``process``.
+
+    ``seed`` holds vertex ids, or edges as (u, v) pairs or ids; the process
+    is checked first, then the threshold and the seed.
+    """
+    check_process(process)
     offsets, targets = g.offsets, g.targets
     if process == _VERTEX:
+        seed = _vertex_ids(g.vertex_count, r, seed)
         active = bytearray(g.vertex_count)
     else:
+        seed = _edge_ids(g, r, seed)
         tails, heads, slot_edges = g.tails, g.heads, g.slot_edges
         active = bytearray(g.edge_count)
     start = []
@@ -170,62 +185,30 @@ def _closure(
     return start, rounds
 
 
-def _activated(g: Graph, r: int, process: str, seed: list[int]) -> int:
+def percolate(g: Graph, r: int, process: str, seed: Iterable) -> ActivationTrace:
+    """Run ``process`` on ``g`` from ``seed`` to closure, round by round.
+
+    Vertex rounds hold vertex ids; star and line rounds hold (u, v)
+    edge pairs, u < v.
+    """
     start, rounds = _closure(g, r, process, seed)
-    return len(start) + sum(map(len, rounds))
+    if process != _VERTEX:
+        tails, heads = g.tails, g.heads
 
+        def pair(e: int) -> Edge:
+            return (tails[e], heads[e])
 
-def _trace(start: Iterable, rounds: list[Iterable]) -> ActivationTrace:
-    seed = frozenset(start)
+        start, rounds = map(pair, start), [map(pair, rd) for rd in rounds]
+    first = frozenset(start)
     sets = tuple(frozenset(rd) for rd in rounds)
-    return ActivationTrace(seed, sets, seed.union(*sets))
+    return ActivationTrace(first, sets, first.union(*sets))
 
 
-def _edge_trace(g: Graph, start: list[int], rounds: list[list[int]]) -> ActivationTrace:
-    tails, heads = g.tails, g.heads
-
-    def pair(e: int) -> Edge:
-        return (tails[e], heads[e])
-
-    return _trace(map(pair, start), [map(pair, rd) for rd in rounds])
-
-
-def percolate_vertices(g: Graph, r: int, seed: Iterable[int]) -> ActivationTrace:
-    """Run the r-neighbor vertex process from ``seed`` to closure."""
-    return _trace(*_closure(g, r, _VERTEX, _vertex_ids(g.vertex_count, r, seed)))
-
-
-def is_percolating_vertices(g: Graph, r: int, seed: Iterable[int]) -> bool:
-    return _activated(g, r, _VERTEX, _vertex_ids(g.vertex_count, r, seed)) == g.vertex_count
-
-
-def percolate_edges_star(g: Graph, r: int, seed: Iterable) -> ActivationTrace:
-    """Run the star edge process from ``seed`` to closure.
-
-    Activation rule: edge uv joins round i once, after round i-1, some
-    endpoint carries at least r active edges.  Equivalently uv completes
-    a star with r+1 edges whose other r edges are already active.
-    """
-    return _edge_trace(g, *_closure(g, r, _STAR, _edge_ids(g, r, seed)))
-
-
-def is_percolating_edges_star(g: Graph, r: int, seed: Iterable) -> bool:
-    return _activated(g, r, _STAR, _edge_ids(g, r, seed)) == g.edge_count
-
-
-def percolate_edges_linegraph(g: Graph, r: int, seed: Iterable) -> ActivationTrace:
-    """Run the line-graph edge process from ``seed`` to closure.
-
-    Activation rule: edge uv joins round i once the active edges meeting
-    u plus the active edges meeting v (uv itself excluded) number at
-    least r after round i-1.  Matches the vertex process on the line
-    graph round for round.
-    """
-    return _edge_trace(g, *_closure(g, r, _LINE, _edge_ids(g, r, seed)))
-
-
-def is_percolating_edges_line(g: Graph, r: int, seed: Iterable) -> bool:
-    return _activated(g, r, _LINE, _edge_ids(g, r, seed)) == g.edge_count
+def is_percolating(g: Graph, r: int, process: str, seed: Iterable) -> bool:
+    """Whether ``process`` from ``seed`` activates every vertex, or every edge, of ``g``."""
+    start, rounds = _closure(g, r, process, seed)
+    size = g.vertex_count if process == _VERTEX else g.edge_count
+    return len(start) + sum(map(len, rounds)) == size
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +239,7 @@ def check_packed(space: HammingSpace, process: str) -> None:
     per axis and round; the line process keeps n rows and up to n degree
     masks of n bits, and reads each about three times per round.
     """
-    if process not in (_VERTEX, _STAR, _LINE):
-        raise PreconditionError(f"unknown process {process!r}")
+    check_process(process)
     where = f"packed {process} closure on [0,{space.n})^{space.d}"
     size = space.capped_size(PACKED_BIT_CAP)
     if size > PACKED_BIT_CAP:
@@ -392,7 +374,7 @@ class _Packed:
 
 
 def _hamming_pairs(space: HammingSpace, r: int, seed: Iterable) -> set[Edge]:
-    _check_r(r)
+    check_threshold(r)
     out = set()
     for e in seed:
         if not space.is_edge(*e):
@@ -488,11 +470,10 @@ def _packed_closure(space: HammingSpace, r: int, process: str, seed: Iterable):
 def is_percolating_hamming(space: HammingSpace, r: int, process: str, seed: Iterable) -> bool:
     """Whether ``process`` activates every element of the Hamming graph of ``space``.
 
-    Gives what ``is_percolating_vertices`` or ``is_percolating_edges_star``
-    give on ``make_hamming(space)``, or ``is_percolating_edges_line`` on
-    K_n, which is ``HammingSpace(n, 1)``: the line process runs on K_n
-    only.  Edge seeds are (u, v) pairs.  Builds no graph and no sets, and
-    raises ResourceLimitError as :func:`check_packed` does.
+    Gives what :func:`is_percolating` gives on ``make_hamming(space)``;
+    the line process runs on K_n only, which is ``HammingSpace(n, 1)``.
+    Edge seeds are (u, v) pairs.  Builds no graph and no sets, and raises
+    ResourceLimitError as :func:`check_packed` does.
     """
     p, start, rounds = _packed_closure(space, r, process, seed)
     if process == _LINE:

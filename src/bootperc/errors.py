@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the checks every layer makes."""
 
 
 class PreconditionError(ValueError):
@@ -21,3 +21,18 @@ class ResourceLimitError(RuntimeError):
 
 class FormatError(ValueError):
     """A graph or seed text file could not be parsed."""
+
+
+PROCESSES = ("vertex", "star", "line")
+
+
+def check_process(process: str) -> None:
+    """Refuse a process name other than those of PROCESSES."""
+    if process not in PROCESSES:
+        raise PreconditionError(f"unknown process {process!r}")
+
+
+def check_threshold(r: int) -> None:
+    """Refuse a negative threshold."""
+    if r < 0:
+        raise PreconditionError("threshold r must be nonnegative")

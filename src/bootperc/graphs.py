@@ -51,13 +51,13 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _check_slots(what: str, vertices: int, edges: int, cap: int = DEFAULT_SLOT_CAP) -> None:
-    """The resource guard of every builder: vertices + 2*edges CSR slots at most ``cap``."""
+def _check_slots(what: str, vertices: int, edges: int) -> None:
+    """The resource guard of every builder: vertices + 2*edges CSR slots, at most the cap."""
     slots = vertices + 2 * edges
-    if slots > cap:
+    if slots > DEFAULT_SLOT_CAP:
         raise ResourceLimitError(
             f"{what} would need {slots} CSR slots "
-            f"({vertices} vertices + 2*{edges} edges; cap {cap})"
+            f"({vertices} vertices + 2*{edges} edges; cap {DEFAULT_SLOT_CAP})"
         )
 
 

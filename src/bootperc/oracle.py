@@ -1,5 +1,11 @@
 """Exhaustive ground truth for minimum percolating seeds on tiny graphs.
 
+:func:`min_percolating` takes the process by name, "vertex", "star" or
+"line", as every entry point of :mod:`bootperc.engine` does, and refuses
+a graph with more vertices or edges than its cap: by default
+DEFAULT_VERTEX_CAP for the vertex process and DEFAULT_EDGE_CAP for the
+edge processes.
+
 Each search ascends through seed cardinalities and, within a
 cardinality, decides candidate sets in lexicographic order, so the
 returned witness is the lexicographically least percolating set of the
@@ -20,7 +26,7 @@ The closure of a set is the least fixpoint of the rules containing it;
 a set percolates when its closure holds every element.  A least
 fixpoint does not depend on the order in which rules fire, so the
 closure is computed by worklist instead of synchronous rounds, and it
-equals the final set of ``engine.percolate_*``.  Only a rule whose
+equals the final set of ``engine.percolate``.  Only a rule whose
 count mask meets a newly active element can newly fire, so each rule
 is filed under the elements of its count mask.  With r = 0 every rule
 fires and every closure is full.
@@ -96,7 +102,7 @@ from operator import and_, or_
 from math import comb
 from typing import NamedTuple
 
-from bootperc.errors import PreconditionError, ResourceLimitError
+from bootperc.errors import PreconditionError, ResourceLimitError, check_process, check_threshold
 from bootperc.graphs import Graph
 
 DEFAULT_ENGINE_CALL_BUDGET = 10_000_000
@@ -416,17 +422,29 @@ def _decided(
         yield head if type(head) is tuple else head.result()
 
 
-def _search(
-    g: Graph, r: int, process: str, cap: int, max_engine_calls: int, jobs: int
+def min_percolating(
+    g: Graph,
+    r: int,
+    process: str,
+    cap: int | None = None,
+    max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
+    jobs: int = 1,
 ) -> SearchResult:
-    if r < 0:
-        raise PreconditionError("threshold r must be nonnegative")
+    """Exact minimum size of a percolating seed under ``process``, with a witness.
+
+    ``cap`` bounds the vertices (vertex process) or edges (star and line)
+    searched over; None takes DEFAULT_VERTEX_CAP or DEFAULT_EDGE_CAP.
+    """
+    check_process(process)
+    check_threshold(r)
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
     if process == "vertex":
         size, kind = g.vertex_count, "vertices"
     else:
         size, kind = g.edge_count, "edges"
+    if cap is None:
+        cap = DEFAULT_VERTEX_CAP if process == "vertex" else DEFAULT_EDGE_CAP
     if size > cap:
         raise ResourceLimitError(f"{size} {kind} exceed the search cap {cap}")
     rules, flat = _rules(g, r, process)
@@ -476,36 +494,3 @@ def _search(
             # the leaves not yet started are of no use; the workers exit normally
             pool.shutdown(cancel_futures=True)
     raise AssertionError("the full element set always percolates")
-
-
-def min_percolating_vertices(
-    g: Graph,
-    r: int,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
-    jobs: int = 1,
-) -> SearchResult:
-    """Exact minimum size of a percolating vertex seed, with a witness."""
-    return _search(g, r, "vertex", max_vertices, max_engine_calls, jobs)
-
-
-def min_percolating_edges_star(
-    g: Graph,
-    r: int,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
-    jobs: int = 1,
-) -> SearchResult:
-    """Exact minimum size of a star-process edge seed, with a witness."""
-    return _search(g, r, "star", max_edges, max_engine_calls, jobs)
-
-
-def min_percolating_edges_line(
-    g: Graph,
-    r: int,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
-    jobs: int = 1,
-) -> SearchResult:
-    """Exact minimum size of a line-process edge seed, with a witness."""
-    return _search(g, r, "line", max_edges, max_engine_calls, jobs)

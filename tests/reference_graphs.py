@@ -11,12 +11,12 @@ from __future__ import annotations
 from array import array
 from itertools import product, repeat
 
-from bootperc.graphs import DEFAULT_SLOT_CAP, Graph, HammingSpace, _check_slots, _offsets
+from bootperc.graphs import Graph, HammingSpace, _check_slots, _offsets
 
 _INT = "i"
 
 
-def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph:
+def make_hamming(space: HammingSpace) -> Graph:
     """Hamming graph on [0,n)^d: vertices adjacent iff they differ in one coordinate.
 
     Coordinate i has stride s_i = n^(d-1-i), and row x lists the smaller
@@ -30,9 +30,9 @@ def make_hamming(space: HammingSpace, slot_cap: int = DEFAULT_SLOT_CAP) -> Graph
     size = 1
     for _ in range(d):
         size *= n
-        _check_slots("Hamming graph", size, 0, slot_cap)  # before n**d can grow huge
+        _check_slots("Hamming graph", size, 0)  # before n**d can grow huge
     degree = d * (n - 1)
-    _check_slots("Hamming graph", size, size * degree // 2, slot_cap)
+    _check_slots("Hamming graph", size, size * degree // 2)
     strides = [n ** (d - 1 - i) for i in range(d)]
     vertices = list(range(size))
     targets = array(_INT)

@@ -1,10 +1,11 @@
 """The exhaustive oracle as it was before the bitmask search: every
-candidate in lexicographic order through ``engine.is_percolating_*``.
+candidate in lexicographic order through ``engine.is_percolating``.
 
 Test-only reference: ``tests/test_reference_oracle.py`` requires the
 bitmask oracle to return the same (minimum, witness, engine_calls) as
 this enumeration, at ``jobs=1`` and ``jobs=2``.  The code below is the
-old ``bootperc.oracle`` unchanged, apart from this docstring.
+old ``bootperc.oracle`` unchanged, apart from this docstring and the
+``_TESTS`` table, which now calls the engine's one entry point.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from bootperc.engine import (
-    is_percolating_edges_line,
-    is_percolating_edges_star,
-    is_percolating_vertices,
-)
+from bootperc.engine import is_percolating
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import Graph
 
@@ -28,9 +25,8 @@ DEFAULT_VERTEX_CAP = 25
 DEFAULT_EDGE_CAP = 20
 
 _TESTS: dict[str, Callable] = {
-    "vertex": is_percolating_vertices,
-    "star": is_percolating_edges_star,
-    "line": is_percolating_edges_line,
+    process: lambda g, r, seed, process=process: is_percolating(g, r, process, seed)
+    for process in ("vertex", "star", "line")
 }
 
 

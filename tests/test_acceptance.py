@@ -19,14 +19,7 @@ from bootperc.constructions import (
     star_seed_hamming,
     vertex_seed_dim2,
 )
-from bootperc.engine import (
-    percolate_edges_linegraph,
-    percolate_edges_star,
-    percolate_vertices,
-    is_percolating_edges_line,
-    is_percolating_edges_star,
-    is_percolating_vertices,
-)
+from bootperc.engine import is_percolating, percolate
 from bootperc.formulas import min_seed_hamming_bounds
 from bootperc.graphs import (
     HammingSpace,
@@ -35,11 +28,7 @@ from bootperc.graphs import (
     make_line_graph,
 )
 from bootperc.linalg import mat_rank
-from bootperc.oracle import (
-    min_percolating_edges_line,
-    min_percolating_edges_star,
-    min_percolating_vertices,
-)
+from bootperc.oracle import min_percolating
 from bootperc.polymethod import first_primes
 
 from conftest import random_edge_seed, random_graph, random_vertex_seed
@@ -59,7 +48,7 @@ def _report(num: int, label: str, ok: bool, started: float, budget: float) -> No
 @lru_cache(maxsize=None)
 def _dim2_oracle_minimum(n: int, r: int) -> int:
     g = make_hamming(HammingSpace(n, 2))
-    return min_percolating_vertices(g, r).minimum
+    return min_percolating(g, r, "vertex").minimum
 
 
 DIM2_ORACLE_INSTANCES = ((2, 2), (3, 2), (3, 3), (4, 3))
@@ -73,7 +62,7 @@ def test_criterion_1_dim2_exactness():
             seed = vertex_seed_dim2(n, r)
             ok = ok and len(seed) == (r + 1) ** 2 // 4
             g = make_hamming(HammingSpace(n, 2))
-            ok = ok and is_percolating_vertices(g, r, seed)
+            ok = ok and is_percolating(g, r, "vertex", seed)
     _report(1, "dimension-2 exactness", ok, started, 1.0)
 
 
@@ -94,10 +83,10 @@ def test_criterion_3_weak_saturation_exactness():
                 seed = star_seed_hamming(n, r, d)
                 ok = ok and len(seed) == comb(d + r, d + 1)
                 g = make_hamming(HammingSpace(n, d))
-                ok = ok and is_percolating_edges_star(g, r, seed)
+                ok = ok and is_percolating(g, r, "star", seed)
     k4 = make_complete(4)
-    ok = ok and min_percolating_edges_star(k4, 2).minimum == 3
-    ok = ok and min_percolating_edges_star(k4, 3).minimum == 6
+    ok = ok and min_percolating(k4, 2, "star").minimum == 3
+    ok = ok and min_percolating(k4, 3, "star").minimum == 6
     _report(3, "weak saturation exactness", ok, started, 60.0)
 
 
@@ -149,8 +138,8 @@ def test_criterion_6_corner_constructions():
                 simplex = simplex_corner_set(n, r, d)
                 carved = carved_corner_set(n, r, d)
                 ok = ok and carved <= simplex
-                ok = ok and is_percolating_vertices(g, r, simplex)
-                ok = ok and is_percolating_vertices(g, r, carved)
+                ok = ok and is_percolating(g, r, "vertex", simplex)
+                ok = ok and is_percolating(g, r, "vertex", carved)
                 _, upper = min_seed_hamming_bounds(n, r, d)
                 ok = ok and Fraction(len(carved)) <= upper
     for n, r in DIM2_ORACLE_INSTANCES:
@@ -167,17 +156,17 @@ def test_criterion_7_line_graphs():
         for n in range(lo, lo + 5):
             seed = line_seed(n, r)
             ok = ok and len(seed) == (r + 2) ** 2 // 8
-            ok = ok and is_percolating_edges_line(make_complete(n), r, seed)
+            ok = ok and is_percolating(make_complete(n), r, "line", seed)
     for n, r, expected in ((4, 1, 1), (4, 2, 2), (5, 2, 2), (5, 3, 3)):
-        ok = ok and min_percolating_edges_line(make_complete(n), r).minimum == expected
+        ok = ok and min_percolating(make_complete(n), r, "line").minimum == expected
     rng = random.Random(1729)
     for _ in range(100):
         g = random_graph(rng, 8)
         r = rng.randint(0, 6)
         seed = random_edge_seed(rng, g)
         lg = make_line_graph(g)
-        direct = percolate_edges_linegraph(g, r, seed)
-        mapped = percolate_vertices(lg, r, [g.edge_id(*e) for e in seed])
+        direct = percolate(g, r, "line", seed)
+        mapped = percolate(lg, r, "vertex", [g.edge_id(*e) for e in seed])
         ok = ok and len(direct.rounds) == len(mapped.rounds)
         for d_round, m_round in zip(direct.rounds, mapped.rounds):
             ok = ok and d_round == frozenset((g.tails[i], g.heads[i]) for i in m_round)
@@ -189,20 +178,20 @@ def test_criterion_8_property_suite():
     ok = True
     rng = random.Random(271828)
     processes = (
-        (percolate_vertices, random_vertex_seed),
-        (percolate_edges_star, random_edge_seed),
-        (percolate_edges_linegraph, random_edge_seed),
+        ("vertex", random_vertex_seed),
+        ("star", random_edge_seed),
+        ("line", random_edge_seed),
     )
     for _ in range(30):
         g = random_graph(rng)
         r = rng.randint(0, 4)
-        for run, make_seed in processes:
+        for process, make_seed in processes:
             seed = make_seed(rng, g)
-            tr = run(g, r, seed)
-            ok = ok and run(g, r, tr.final).rounds == ()  # closure idempotence
+            tr = percolate(g, r, process, seed)
+            ok = ok and percolate(g, r, process, tr.final).rounds == ()  # closure idempotence
             bigger = seed | make_seed(rng, g)
-            ok = ok and tr.final <= run(g, r, bigger).final  # seed monotonicity
-            ok = ok and run(g, r + 1, seed).final <= tr.final  # r monotonicity
+            ok = ok and tr.final <= percolate(g, r, process, bigger).final  # seed monotonicity
+            ok = ok and percolate(g, r + 1, process, seed).final <= tr.final  # r monotonicity
     for _ in range(200):
         k = rng.randint(1, 4)
         weights = [Fraction(rng.randint(1, 8), rng.randint(1, 3)) for _ in range(k)]

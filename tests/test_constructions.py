@@ -21,7 +21,7 @@ from bootperc.constructions import (
     star_seed_hamming,
     vertex_seed_dim2,
 )
-from bootperc.engine import percolate_vertices
+from bootperc.engine import percolate
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import HammingSpace, make_hamming
 
@@ -68,7 +68,7 @@ class TestVertexSeedDim2:
 
     def test_percolates_sample(self):
         g = make_hamming(HammingSpace(4, 2))
-        tr = percolate_vertices(g, 3, vertex_seed_dim2(4, 3))
+        tr = percolate(g, 3, "vertex", vertex_seed_dim2(4, 3))
         assert len(tr.final) == 16
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -190,7 +190,7 @@ class TestCornerSets:
 
     def test_percolation_sample(self):
         g = make_hamming(HammingSpace(5, 3))
-        tr = percolate_vertices(g, 4, carved_corner_set(5, 4, 3))
+        tr = percolate(g, 4, "vertex", carved_corner_set(5, 4, 3))
         assert len(tr.final) == 125
 
     @pytest.mark.parametrize("d", (2, 3))
@@ -199,8 +199,8 @@ class TestCornerSets:
         # the guarantee holds for every n >= r+1, not just the tight one
         for n in (r + 1, r + 3):
             g = make_hamming(HammingSpace(n, d))
-            final_a = percolate_vertices(g, r, simplex_corner_set(n, r, d)).final
-            final_c = percolate_vertices(g, r, carved_corner_set(n, r, d)).final
+            final_a = percolate(g, r, "vertex", simplex_corner_set(n, r, d)).final
+            final_c = percolate(g, r, "vertex", carved_corner_set(n, r, d)).final
             assert len(final_a) == g.vertex_count
             assert len(final_c) == g.vertex_count
 
@@ -211,7 +211,7 @@ class TestCornerSets:
         sp = HammingSpace(n, d)
         g = make_hamming(sp)
         seed = carved_corner_set(n, 4, d)
-        final = percolate_vertices(g, 6, seed).final
+        final = percolate(g, 6, "vertex", seed).final
         assert len(final) < g.vertex_count
         for mask in corner_masks(d):
             assert {sp.encode(reflect(sp.decode(i), mask, n)) for i in final} == final

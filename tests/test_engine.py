@@ -4,18 +4,16 @@ import random
 import pytest
 
 from bootperc.engine import (
-    is_percolating_edges_line,
-    is_percolating_edges_star,
-    is_percolating_vertices,
-    percolate_edges_linegraph,
-    percolate_edges_star,
-    percolate_vertices,
+    is_percolating,
+    is_percolating_hamming,
+    percolate,
     seed_from_text,
     seed_to_text,
     trace_to_jsonable,
 )
 from bootperc.errors import FormatError, PreconditionError
 from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming, make_line_graph
+from bootperc.oracle import min_percolating
 
 from conftest import random_edge_seed, random_graph, random_vertex_seed
 
@@ -27,14 +25,14 @@ def encode_points(n, d, points):
 
 class TestVertexProcess:
     def test_single_seed_spreads_at_threshold_one(self):
-        tr = percolate_vertices(make_complete(3), 1, [0])
+        tr = percolate(make_complete(3), 1, "vertex", [0])
         assert tr.final == frozenset({0, 1, 2})
         assert tr.rounds == (frozenset({1, 2}),)
 
     def test_two_corner_seed_fills_the_grid(self):
         g = make_hamming(HammingSpace(3, 2))
         seed = encode_points(3, 2, [(0, 2), (2, 0)])
-        tr = percolate_vertices(g, 2, seed)
+        tr = percolate(g, 2, "vertex", seed)
         assert len(tr.final) == 9
         # synchronous rounds, computed by hand on the 3x3 grid
         assert tr.rounds == (
@@ -44,47 +42,47 @@ class TestVertexProcess:
         )
 
     def test_stall(self):
-        tr = percolate_vertices(make_complete(4), 3, [0, 1])
+        tr = percolate(make_complete(4), 3, "vertex", [0, 1])
         assert tr.final == frozenset({0, 1})
         assert tr.rounds == ()
 
     def test_zero_threshold_activates_everything_in_one_round(self):
         g = make_complete(5)
-        tr = percolate_vertices(g, 0, [])
+        tr = percolate(g, 0, "vertex", [])
         assert tr.rounds == (frozenset(range(5)),)
         assert len(tr.final) == 5
 
     def test_seed_validation(self):
         with pytest.raises(PreconditionError):
-            percolate_vertices(make_complete(3), 1, [3])
+            percolate(make_complete(3), 1, "vertex", [3])
         with pytest.raises(PreconditionError):
-            percolate_vertices(make_complete(3), -1, [0])
+            percolate(make_complete(3), -1, "vertex", [0])
 
 
 class TestIsPercolatingVertices:
     @pytest.mark.parametrize("n,r", [(3, 1), (4, 3), (4, 2), (3, 5), (5, 5)])
     def test_complete_graph_prefix_seed(self, n, r):
         # the first min(n, r) vertices always percolate the complete graph
-        assert is_percolating_vertices(make_complete(n), r, range(min(n, r)))
+        assert is_percolating(make_complete(n), r, "vertex", range(min(n, r)))
 
     def test_undersized_seed_fails(self):
-        assert not is_percolating_vertices(make_complete(4), 3, [0, 1])
+        assert not is_percolating(make_complete(4), 3, "vertex", [0, 1])
 
     def test_empty_seed_percolates_at_zero(self):
         rng = random.Random(3)
         for _ in range(5):
-            assert is_percolating_vertices(random_graph(rng), 0, [])
+            assert is_percolating(random_graph(rng), 0, "vertex", [])
 
 
 class TestStarProcess:
     def test_triangle_seed_fills_k4(self):
         k4 = make_complete(4)
-        tr = percolate_edges_star(k4, 2, [(0, 1), (0, 2), (1, 2)])
+        tr = percolate(k4, 2, "star", [(0, 1), (0, 2), (1, 2)])
         assert tr.final == frozenset(k4.edge_list())
         assert tr.rounds == (frozenset({(0, 3), (1, 3), (2, 3)}),)
 
     def test_path_seed_stalls_on_triangle(self):
-        tr = percolate_edges_star(make_complete(3), 2, [(0, 1), (0, 2)])
+        tr = percolate(make_complete(3), 2, "star", [(0, 1), (0, 2)])
         assert tr.final == frozenset({(0, 1), (0, 2)})
 
     def test_threshold_one_spreads_per_component(self):
@@ -92,24 +90,24 @@ class TestStarProcess:
         g = Graph.from_edges(
             7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         )
-        tr = percolate_edges_star(g, 1, [(0, 1), (3, 4)])
+        tr = percolate(g, 1, "star", [(0, 1), (3, 4)])
         assert tr.final == frozenset(g.edge_list())
 
     def test_seed_must_be_edges(self):
         with pytest.raises(PreconditionError):
-            percolate_edges_star(make_complete(3), 1, [(0, 3)])
+            percolate(make_complete(3), 1, "star", [(0, 3)])
 
     def test_seed_edge_ids_must_exist(self):
         with pytest.raises(PreconditionError, match="edge id 3"):
-            percolate_edges_star(make_complete(3), 1, [3])
+            percolate(make_complete(3), 1, "star", [3])
         with pytest.raises(PreconditionError, match="edge id -1"):
-            is_percolating_edges_line(make_complete(3), 1, [-1])
+            is_percolating(make_complete(3), 1, "line", [-1])
 
 
 class TestLineProcess:
     def test_two_edge_seed_fills_k4(self):
         k4 = make_complete(4)
-        tr = percolate_edges_linegraph(k4, 2, [(0, 3), (2, 3)])
+        tr = percolate(k4, 2, "line", [(0, 3), (2, 3)])
         assert tr.final == frozenset(k4.edge_list())
         # hand closure: (0,2) and (1,3) first, then (0,1) and (1,2)
         assert tr.rounds == (
@@ -120,36 +118,53 @@ class TestLineProcess:
     def test_huge_threshold_stalls(self):
         k4 = make_complete(4)
         seed = k4.edge_list()[:5]
-        tr = percolate_edges_linegraph(k4, 9, seed)
+        tr = percolate(k4, 9, "line", seed)
         assert tr.final == frozenset(seed)
 
     def test_triangle_closures(self):
         k3 = make_complete(3)
-        assert percolate_edges_linegraph(k3, 2, [(0, 1)]).final == frozenset({(0, 1)})
-        tr = percolate_edges_linegraph(k3, 2, [(0, 1), (0, 2)])
+        assert percolate(k3, 2, "line", [(0, 1)]).final == frozenset({(0, 1)})
+        tr = percolate(k3, 2, "line", [(0, 1), (0, 2)])
         assert tr.rounds == (frozenset({(1, 2)}),)
 
     def test_splits_star_process(self):
         # endpoint counts 1+1 activate the line process but not the star process
         k3 = make_complete(3)
         seed = [(0, 1), (0, 2)]
-        assert is_percolating_edges_line(k3, 2, seed)
-        assert not is_percolating_edges_star(k3, 2, seed)
+        assert is_percolating(k3, 2, "line", seed)
+        assert not is_percolating(k3, 2, "star", seed)
+
+
+class TestUnknownProcess:
+    # every entry point names the process; none falls through to another one
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda process: percolate(make_complete(4), 2, process, []),
+            lambda process: is_percolating(make_complete(4), 2, process, []),
+            lambda process: min_percolating(make_complete(4), 2, process),
+            lambda process: is_percolating_hamming(HammingSpace(4, 1), 2, process, []),
+        ],
+        ids=["percolate", "is_percolating", "min_percolating", "is_percolating_hamming"],
+    )
+    def test_is_refused(self, entry):
+        with pytest.raises(PreconditionError, match="unknown process 'bogus'"):
+            entry("bogus")
 
 
 class TestTraceInvariants:
     def processes(self, g, rng):
-        yield percolate_vertices, random_vertex_seed(rng, g), "vertex"
-        yield percolate_edges_star, random_edge_seed(rng, g), "star"
-        yield percolate_edges_linegraph, random_edge_seed(rng, g), "line"
+        yield "vertex", random_vertex_seed(rng, g)
+        yield "star", random_edge_seed(rng, g)
+        yield "line", random_edge_seed(rng, g)
 
     def test_rounds_partition_the_growth(self):
         rng = random.Random(77)
         for _ in range(40):
             g = random_graph(rng)
             r = rng.randint(0, 4)
-            for run, seed, _ in self.processes(g, rng):
-                tr = run(g, r, seed)
+            for process, seed in self.processes(g, rng):
+                tr = percolate(g, r, process, seed)
                 seen = set(tr.seed)
                 for rd in tr.rounds:
                     assert rd, "rounds must be nonempty"
@@ -162,9 +177,9 @@ class TestTraceInvariants:
         for _ in range(40):
             g = random_graph(rng)
             r = rng.randint(0, 4)
-            for run, seed, _ in self.processes(g, rng):
-                tr = run(g, r, seed)
-                again = run(g, r, tr.final)
+            for process, seed in self.processes(g, rng):
+                tr = percolate(g, r, process, seed)
+                again = percolate(g, r, process, tr.final)
                 assert again.rounds == ()
                 assert again.final == tr.final
 
@@ -175,15 +190,15 @@ class TestTraceInvariants:
             r = rng.randint(0, 4)
             small = random_vertex_seed(rng, g)
             extra = random_vertex_seed(rng, g)
-            a = percolate_vertices(g, r, small).final
-            b = percolate_vertices(g, r, small | extra).final
+            a = percolate(g, r, "vertex", small).final
+            b = percolate(g, r, "vertex", small | extra).final
             assert a <= b
             es = random_edge_seed(rng, g)
             ee = random_edge_seed(rng, g)
-            assert percolate_edges_star(g, r, es).final <= percolate_edges_star(g, r, es | ee).final
+            assert percolate(g, r, "star", es).final <= percolate(g, r, "star", es | ee).final
             assert (
-                percolate_edges_linegraph(g, r, es).final
-                <= percolate_edges_linegraph(g, r, es | ee).final
+                percolate(g, r, "line", es).final
+                <= percolate(g, r, "line", es | ee).final
             )
 
     def test_monotone_in_threshold(self):
@@ -193,14 +208,14 @@ class TestTraceInvariants:
             r = rng.randint(0, 4)
             vs = random_vertex_seed(rng, g)
             es = random_edge_seed(rng, g)
-            assert percolate_vertices(g, r + 1, vs).final <= percolate_vertices(g, r, vs).final
+            assert percolate(g, r + 1, "vertex", vs).final <= percolate(g, r, "vertex", vs).final
             assert (
-                percolate_edges_star(g, r + 1, es).final
-                <= percolate_edges_star(g, r, es).final
+                percolate(g, r + 1, "star", es).final
+                <= percolate(g, r, "star", es).final
             )
             assert (
-                percolate_edges_linegraph(g, r + 1, es).final
-                <= percolate_edges_linegraph(g, r, es).final
+                percolate(g, r + 1, "line", es).final
+                <= percolate(g, r, "line", es).final
             )
 
 
@@ -268,11 +283,11 @@ class TestAgainstNaiveClosure:
             r = rng.randint(0, 5)
             vseed = random_vertex_seed(rng, g)
             eseed = random_edge_seed(rng, g)
-            tr = percolate_vertices(g, r, vseed)
+            tr = percolate(g, r, "vertex", vseed)
             assert (tr.rounds, tr.final) == naive_rounds(g, r, vseed, _VertexRule)
-            tr = percolate_edges_star(g, r, eseed)
+            tr = percolate(g, r, "star", eseed)
             assert (tr.rounds, tr.final) == naive_rounds(g, r, eseed, _StarRule)
-            tr = percolate_edges_linegraph(g, r, eseed)
+            tr = percolate(g, r, "line", eseed)
             assert (tr.rounds, tr.final) == naive_rounds(g, r, eseed, _LineRule)
 
 
@@ -284,8 +299,8 @@ class TestLineGraphEquivalence:
             r = rng.randint(0, 6)
             seed = random_edge_seed(rng, g)
             lg = make_line_graph(g)
-            direct = percolate_edges_linegraph(g, r, seed)
-            mapped = percolate_vertices(g=lg, r=r, seed=[g.edge_id(*e) for e in seed])
+            direct = percolate(g, r, "line", seed)
+            mapped = percolate(g=lg, r=r, process="vertex", seed=[g.edge_id(*e) for e in seed])
             assert len(direct.rounds) == len(mapped.rounds)
             for d_round, m_round in zip(direct.rounds, mapped.rounds):
                 assert d_round == frozenset((g.tails[i], g.heads[i]) for i in m_round)
@@ -314,7 +329,7 @@ class TestSeedFiles:
 
     def test_trace_json_shape(self):
         k3 = make_complete(3)
-        tr = percolate_edges_linegraph(k3, 2, [(0, 1), (0, 2)])
+        tr = percolate(k3, 2, "line", [(0, 1), (0, 2)])
         payload = trace_to_jsonable(tr, percolated=True)
         assert json.loads(json.dumps(payload)) == {
             "seed": [[0, 1], [0, 2]],

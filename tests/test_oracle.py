@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bootperc import oracle
 from bootperc.constructions import carved_corner_set
-from bootperc.engine import is_percolating_edges_star, is_percolating_vertices
+from bootperc.engine import is_percolating
 from bootperc.errors import ResourceLimitError
 from bootperc.formulas import (
     min_seed_hamming_bounds,
@@ -21,69 +21,57 @@ from bootperc.formulas import (
     weak_saturation_hamming,
 )
 from bootperc.graphs import HammingSpace, make_complete, make_hamming, make_line_graph
-from bootperc.oracle import (
-    DEFAULT_EDGE_CAP,
-    min_percolating_edges_line,
-    min_percolating_edges_star,
-    min_percolating_vertices,
-)
+from bootperc.oracle import DEFAULT_EDGE_CAP, min_percolating
 from bootperc.polymethod import product_coloring_on, recognized_space_report
 
 from conftest import RecordingExecutor, random_graph
 
-SEARCHES = {
-    "vertex": min_percolating_vertices,
-    "star": min_percolating_edges_star,
-    "line": min_percolating_edges_line,
-}
-
-
 class TestVertexSearch:
     def test_complete_graph(self):
-        assert min_percolating_vertices(make_complete(4), 3).minimum == 3
+        assert min_percolating(make_complete(4), 3, "vertex").minimum == 3
 
     def test_zero_threshold(self):
-        result = min_percolating_vertices(make_complete(5), 0)
+        result = min_percolating(make_complete(5), 0, "vertex")
         assert result.minimum == 0
         assert result.witness == ()
 
     def test_hamming_dim2(self):
         g = make_hamming(HammingSpace(3, 2))
-        result = min_percolating_vertices(g, 2)
+        result = min_percolating(g, 2, "vertex")
         assert result.minimum == 2
         # lexicographically first witness: indices 0 and 4, i.e. (0,0),(1,1)
         assert result.witness == (0, 4)
-        assert is_percolating_vertices(g, 2, result.witness)
+        assert is_percolating(g, 2, "vertex", result.witness)
 
     def test_hamming_dim2_high_threshold(self):
         # K_3^2 at r=4: every degree equals the threshold, minimum is 6
         g = make_hamming(HammingSpace(3, 2))
-        result = min_percolating_vertices(g, 4)
+        result = min_percolating(g, 4, "vertex")
         assert result.minimum == (4 + 1) ** 2 // 4
-        assert is_percolating_vertices(g, 4, result.witness)
+        assert is_percolating(g, 4, "vertex", result.witness)
 
     def test_witness_is_minimal(self):
         g = make_hamming(HammingSpace(3, 2))
-        result = min_percolating_vertices(g, 2)
+        result = min_percolating(g, 2, "vertex")
         for single in range(g.vertex_count):
-            assert not is_percolating_vertices(g, 2, [single])
+            assert not is_percolating(g, 2, "vertex", [single])
 
     def test_mandatory_vertices_forced(self):
         # a path endpoint has degree 1 < 2 and can never activate
         from bootperc.graphs import Graph
 
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        result = min_percolating_vertices(g, 2)
+        result = min_percolating(g, 2, "vertex")
         assert {0, 3} <= set(result.witness)
 
     def test_vertex_cap_guard(self):
         with pytest.raises(ResourceLimitError):
-            min_percolating_vertices(make_complete(6), 2, max_vertices=5)
+            min_percolating(make_complete(6), 2, "vertex", cap=5)
 
     def test_hamming_dim3_threshold_2(self):
         # 27 vertices: above the default cap, so the cap is raised explicitly
         g = make_hamming(HammingSpace(3, 3))
-        result = min_percolating_vertices(g, 2, max_vertices=27)
+        result = min_percolating(g, 2, "vertex", cap=27)
         assert (result.minimum, result.witness, result.engine_calls) == (3, (0, 1, 12), 390)
         lower, _ = min_seed_hamming_bounds(3, 2, 3)
         assert ceil(lower) == 3 <= result.minimum <= len(carved_corner_set(3, 2, 3)) == 4
@@ -91,22 +79,22 @@ class TestVertexSearch:
     def test_hamming_dim3_threshold_3(self):
         g = make_hamming(HammingSpace(3, 3))
         started = time.perf_counter()
-        result = min_percolating_vertices(g, 3, max_vertices=27)
+        result = min_percolating(g, 3, "vertex", cap=27)
         assert time.perf_counter() - started < 5.0
         assert (result.minimum, result.witness, result.engine_calls) == (
             6,
             (0, 1, 2, 12, 16, 22),
             103195,
         )
-        assert is_percolating_vertices(g, 3, result.witness)
+        assert is_percolating(g, 3, "vertex", result.witness)
 
     def test_hamming_dim3_needs_the_cap_raised(self):
         with pytest.raises(ResourceLimitError):
-            min_percolating_vertices(make_hamming(HammingSpace(3, 3)), 2)
+            min_percolating(make_hamming(HammingSpace(3, 3)), 2, "vertex")
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            min_percolating_vertices(make_hamming(HammingSpace(4, 2)), 3, max_engine_calls=100)
+            min_percolating(make_hamming(HammingSpace(4, 2)), 3, "vertex", max_engine_calls=100)
 
 
 class TestHammingDim3:
@@ -125,13 +113,13 @@ class TestHammingDim3:
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         g = make_hamming(HammingSpace(3, 3))
-        result = min_percolating_vertices(g, r, max_vertices=27, jobs=jobs)
+        result = min_percolating(g, r, "vertex", cap=27, jobs=jobs)
         assert tuple(result) == expected
         assert bool(RecordingExecutor.tasks) == (jobs > 1)
 
     @pytest.mark.parametrize("n,r", [(3, 1), (3, 2), (4, 1), (4, 2)])
     def test_exact_value_inside_the_sandwich(self, n, r):
-        result = min_percolating_vertices(make_hamming(HammingSpace(n, 3)), r, max_vertices=n**3)
+        result = min_percolating(make_hamming(HammingSpace(n, 3)), r, "vertex", cap=n**3)
         lower, _ = min_seed_hamming_bounds(n, r, 3)
         assert ceil(lower) <= result.minimum <= len(carved_corner_set(n, r, 3))
 
@@ -158,47 +146,47 @@ class TestLanes:
 
 class TestStarSearch:
     def test_k4_threshold_2(self):
-        result = min_percolating_edges_star(make_complete(4), 2)
+        result = min_percolating(make_complete(4), 2, "star")
         assert result.minimum == 3
         assert result.witness == ((0, 1), (0, 2), (1, 2))
-        assert is_percolating_edges_star(make_complete(4), 2, result.witness)
+        assert is_percolating(make_complete(4), 2, "star", result.witness)
 
     def test_k4_threshold_2_no_smaller_seed(self):
         k4 = make_complete(4)
         for pair in combinations(k4.edge_list(), 2):
-            assert not is_percolating_edges_star(k4, 2, pair)
+            assert not is_percolating(k4, 2, "star", pair)
 
     def test_k3_threshold_2_needs_all_edges(self):
-        assert min_percolating_edges_star(make_complete(3), 2).minimum == 3
+        assert min_percolating(make_complete(3), 2, "star").minimum == 3
 
     def test_k4_threshold_3_needs_all_edges(self):
-        assert min_percolating_edges_star(make_complete(4), 3).minimum == 6
+        assert min_percolating(make_complete(4), 3, "star").minimum == 6
 
     def test_threshold_one(self):
         for n in (3, 4, 5):
-            assert min_percolating_edges_star(make_complete(n), 1).minimum == 1
+            assert min_percolating(make_complete(n), 1, "star").minimum == 1
 
     def test_edge_cap_guard(self):
         with pytest.raises(ResourceLimitError):
-            min_percolating_edges_star(make_complete(7), 2)
+            min_percolating(make_complete(7), 2, "star")
 
 
 class TestLineSearch:
     def test_k4_values(self):
-        assert min_percolating_edges_line(make_complete(4), 1).minimum == 1
-        result = min_percolating_edges_line(make_complete(4), 2)
+        assert min_percolating(make_complete(4), 1, "line").minimum == 1
+        result = min_percolating(make_complete(4), 2, "line")
         assert result.minimum == 2
         assert result.witness == ((0, 1), (0, 2))
 
     def test_k3_high_threshold_needs_all(self):
-        assert min_percolating_edges_line(make_complete(3), 4).minimum == 3
+        assert min_percolating(make_complete(3), 4, "line").minimum == 3
 
     @pytest.mark.parametrize("n,r", [(4, 1), (4, 2), (4, 3), (5, 2)])
     def test_agrees_with_vertex_search_on_line_graph(self, n, r):
         g = make_complete(n)
         lg = make_line_graph(g)
-        direct = min_percolating_edges_line(g, r).minimum
-        via_line_graph = min_percolating_vertices(lg, r).minimum
+        direct = min_percolating(g, r, "line").minimum
+        via_line_graph = min_percolating(lg, r, "vertex").minimum
         assert direct == via_line_graph
 
 
@@ -207,12 +195,12 @@ class TestK7:
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_star_minimum_is_the_weak_saturation_number(self, r):
-        result = min_percolating_edges_star(make_complete(7), r, max_edges=21)
+        result = min_percolating(make_complete(7), r, "star", cap=21)
         assert result.minimum == weak_saturation_hamming(7, r, 1)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_line_minimum_is_the_closed_form(self, r):
-        result = min_percolating_edges_line(make_complete(7), r, max_edges=21)
+        result = min_percolating(make_complete(7), r, "line", cap=21)
         assert result.minimum == min_seed_line_complete(7, r)
 
 
@@ -235,28 +223,28 @@ class TestPolynomialLowerBound:
         line = make_line_graph(g)
         dim = recognized_space_report(g, product_coloring_on(g), r).dim
         line_dim = recognized_space_report(line, product_coloring_on(line), r).dim
-        assert min_percolating_edges_star(g, r).minimum >= dim
-        assert min_percolating_vertices(g, r).minimum >= ceil(dim / r)
-        assert min_percolating_edges_line(g, r).minimum >= ceil(line_dim / r)
+        assert min_percolating(g, r, "star").minimum >= dim
+        assert min_percolating(g, r, "vertex").minimum >= ceil(dim / r)
+        assert min_percolating(g, r, "line").minimum >= ceil(line_dim / r)
 
 
 class TestParallelSearch:
     def test_jobs_do_not_change_the_answer(self):
         g = make_hamming(HammingSpace(3, 2))
-        seq = min_percolating_vertices(g, 2, jobs=1)
-        par = min_percolating_vertices(g, 2, jobs=2)
+        seq = min_percolating(g, 2, "vertex", jobs=1)
+        par = min_percolating(g, 2, "vertex", jobs=2)
         assert (seq.minimum, seq.witness) == (par.minimum, par.witness)
 
     def test_jobs_star(self):
-        seq = min_percolating_edges_star(make_complete(4), 2, jobs=1)
-        par = min_percolating_edges_star(make_complete(4), 2, jobs=2)
+        seq = min_percolating(make_complete(4), 2, "star", jobs=1)
+        par = min_percolating(make_complete(4), 2, "star", jobs=2)
         assert (seq.minimum, seq.witness) == (par.minimum, par.witness)
 
     def test_one_capped_pool_per_search(self, monkeypatch):
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(oracle, "_POOL_FROM", 0)  # every level goes to the pool
-        result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=100_000)
+        result = min_percolating(make_hamming(HammingSpace(5, 2)), 4, "vertex", jobs=100_000)
         assert (result.minimum, result.witness, result.engine_calls) == (
             6,
             (0, 1, 5, 7, 11, 18),
@@ -268,17 +256,16 @@ class TestParallelSearch:
         assert RecordingExecutor.created == [min(100_000, os.cpu_count() or 1)]
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32), st.sampled_from(sorted(SEARCHES)), st.integers(0, 4))
+    @given(st.integers(0, 2**32), st.sampled_from(["line", "star", "vertex"]), st.integers(0, 4))
     def test_results_do_not_depend_on_jobs(self, seed, process, r):
         g = random_graph(random.Random(seed))
-        search = SEARCHES[process]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
             patch.setattr(oracle, "_POOL_FROM", 0)  # these graphs have no level past the gate
             outcomes = []
             for jobs in (1, 3):
                 try:
-                    outcomes.append(search(g, r, jobs=jobs))
+                    outcomes.append(min_percolating(g, r, process, jobs=jobs))
                 except ResourceLimitError as exc:
                     outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -311,7 +298,7 @@ class TestParallelSearch:
         leaves = []
         for jobs in (1, 3):
             sizes.clear()
-            assert tuple(min_percolating_vertices(g, r, n**d, jobs=jobs)) == expected
+            assert tuple(min_percolating(g, r, "vertex", n**d, jobs=jobs)) == expected
             leaves.append(Counter(sizes))
         minimum = expected[0]
         assert {k: v for k, v in leaves[1].items() if k != minimum} == {
@@ -322,7 +309,7 @@ class TestParallelSearch:
     def test_a_real_pool_leaves_no_process_behind(self, monkeypatch):
         monkeypatch.setattr(oracle, "_POOL_FROM", 0)
         g = make_hamming(HammingSpace(5, 2))
-        result = min_percolating_vertices(g, 4, jobs=2)
+        result = min_percolating(g, 4, "vertex", jobs=2)
         assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
         assert multiprocessing.active_children() == []
 
@@ -337,21 +324,21 @@ class TestParallelSearch:
         monkeypatch.setattr(oracle, "_leaf", broken)
         monkeypatch.setattr(oracle, "_POOL_FROM", 0)
         with pytest.raises(ArithmeticError, match="leaf failed"):
-            min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
+            min_percolating(make_hamming(HammingSpace(5, 2)), 4, "vertex", jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_no_pool_without_a_parallel_level(self, monkeypatch):
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        assert min_percolating_vertices(make_complete(5), 0, jobs=4).witness == ()
-        assert min_percolating_vertices(make_complete(5), 4, jobs=1).minimum == 4
+        assert min_percolating(make_complete(5), 0, "vertex", jobs=4).witness == ()
+        assert min_percolating(make_complete(5), 4, "vertex", jobs=1).minimum == 4
         assert RecordingExecutor.created == []
 
     def test_no_pool_below_the_gate(self, monkeypatch):
         # C(25, 6) = 177,100 candidates at the witness level, under 8 full leaves
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
+        result = min_percolating(make_hamming(HammingSpace(5, 2)), 4, "vertex", jobs=2)
         assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
         assert RecordingExecutor.created == []
 
@@ -376,7 +363,7 @@ class TestParallelSearch:
 
         monkeypatch.setattr(oracle, "_leaf", counted)
         monkeypatch.setattr(oracle, "_served_leaf", counted_served)
-        result = min_percolating_vertices(make_hamming(HammingSpace(5, 2)), 4, jobs=2)
+        result = min_percolating(make_hamming(HammingSpace(5, 2)), 4, "vertex", jobs=2)
         assert tuple(result) == (6, (0, 1, 5, 7, 11, 18), 72621)
         assert RecordingExecutor.created == [min(2, os.cpu_count() or 1)]
         assert (inline, pooled) == ({1, 2, 3, 4}, {5, 6})

@@ -13,14 +13,10 @@ from bootperc.engine import (
     _packed_closure,
     check_packed,
     is_percolating_hamming,
-    percolate_edges_linegraph,
-    percolate_edges_star,
-    percolate_vertices,
+    percolate,
 )
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import HammingSpace, make_hamming
-
-CSR = {"vertex": percolate_vertices, "star": percolate_edges_star, "line": percolate_edges_linegraph}
 
 # every (n, d) with n <= 8 and n^d <= 4096; n = 1 is one vertex whatever d is;
 # K_130 has degree 129, so its count fields take two bytes
@@ -97,7 +93,7 @@ def saturation_rounds(g, r, trace):
 def assert_same(n, d, r, process, seed):
     """The packed closure against the CSR engine's trace; returns the trace."""
     g = graph(n, d)
-    want = CSR[process](g, r, seed)
+    want = percolate(g, r, process, seed)
     start, rounds = packed_rounds(n, d, r, process, seed)
     assert start == want.seed
     if process == "star":
@@ -168,7 +164,7 @@ class TestSeedValidation:
         with pytest.raises(PreconditionError) as packed:
             is_percolating_hamming(HammingSpace(n, d), r, process, seed)
         with pytest.raises(PreconditionError) as csr:
-            CSR[process](graph(n, d), r, seed)
+            percolate(graph(n, d), r, process, seed)
         return str(packed.value), str(csr.value)
 
     @pytest.mark.parametrize("vertex", [9, -1, 100])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bootperc.engine import ActivationTrace, percolate_vertices
+from bootperc.engine import ActivationTrace, percolate
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming
 from bootperc.oracle import SearchResult
@@ -49,7 +49,7 @@ class TestResultRecords:
 
 
 def test_activation_trace_round_count():
-    trace = percolate_vertices(make_complete(4), 2, [0, 1])
+    trace = percolate(make_complete(4), 2, "vertex", [0, 1])
     assert (trace.round_count, len(trace.final)) == (1, 4)
 
 

@@ -14,35 +14,23 @@ from hypothesis import strategies as st
 
 import reference_oracle as ref
 from bootperc import oracle
-from bootperc.engine import (
-    is_percolating_edges_line,
-    is_percolating_edges_star,
-    is_percolating_vertices,
-    percolate_edges_linegraph,
-    percolate_edges_star,
-    percolate_vertices,
-)
+from bootperc.engine import is_percolating, percolate
 from bootperc.errors import ResourceLimitError
 from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming, make_line_graph
 
 from conftest import RecordingExecutor, random_graph
 
-SEARCHES = {
-    "vertex": (oracle.min_percolating_vertices, ref.min_percolating_vertices),
-    "star": (oracle.min_percolating_edges_star, ref.min_percolating_edges_star),
-    "line": (oracle.min_percolating_edges_line, ref.min_percolating_edges_line),
-}
-# (full run, percolation test) of the engine
-ENGINES = {
-    "vertex": (percolate_vertices, is_percolating_vertices),
-    "star": (percolate_edges_star, is_percolating_edges_star),
-    "line": (percolate_edges_linegraph, is_percolating_edges_line),
+# the reference search of each process
+REFERENCE = {
+    "vertex": ref.min_percolating_vertices,
+    "star": ref.min_percolating_edges_star,
+    "line": ref.min_percolating_edges_line,
 }
 
 
-def _outcome(search, g, r, **kwargs):
+def _outcome(search, *args, **kwargs):
     try:
-        result = search(g, r, **kwargs)
+        result = search(*args, **kwargs)
     except ResourceLimitError:
         return "ResourceLimitError"
     return result.minimum, result.witness, result.engine_calls
@@ -53,7 +41,7 @@ def _random_cases(seed: int, count: int):
     for _ in range(count):
         # at most 15 edges keeps every reference search under 2^15 candidates
         g = random_graph(rng, max_vertices=rng.choice((6, 8)))
-        for process in SEARCHES:
+        for process in REFERENCE:
             if process == "vertex" or g.edge_count <= 15:
                 for r in range(5):
                     yield g, process, r
@@ -62,15 +50,15 @@ def _random_cases(seed: int, count: int):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_graphs_match_reference(seed):
     for g, process, r in _random_cases(seed, 20):
-        new, old = SEARCHES[process]
-        assert _outcome(new, g, r) == _outcome(old, g, r), (g, process, r)
+        new = _outcome(oracle.min_percolating, g, r, process)
+        assert new == _outcome(REFERENCE[process], g, r), (g, process, r)
 
 
 def test_random_graphs_match_reference_in_parallel():
     # engine_calls does not depend on jobs, so the reference runs sequentially
     for g, process, r in _random_cases(100, 3):
-        new, old = SEARCHES[process]
-        assert _outcome(new, g, r, jobs=2) == _outcome(old, g, r), (g, process, r)
+        new = _outcome(oracle.min_percolating, g, r, process, jobs=2)
+        assert new == _outcome(REFERENCE[process], g, r), (g, process, r)
 
 
 @pytest.mark.parametrize("lanes", [1, 6, 40])
@@ -80,10 +68,10 @@ def test_any_lane_budget_matches_reference(monkeypatch, lanes):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     cases = [(make_hamming(HammingSpace(4, 2)), "vertex", 3), *_random_cases(200 + lanes, 6)]
     for g, process, r in cases:
-        new, old = SEARCHES[process]
-        expected = _outcome(old, g, r)
+        expected = _outcome(REFERENCE[process], g, r)
         for jobs in (1, 3):
-            assert _outcome(new, g, r, jobs=jobs) == expected, (g, process, r, jobs)
+            new = _outcome(oracle.min_percolating, g, r, process, jobs=jobs)
+            assert new == expected, (g, process, r, jobs)
 
 
 @pytest.mark.parametrize(
@@ -98,17 +86,15 @@ def test_any_lane_budget_matches_reference(monkeypatch, lanes):
 )
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_families_match_reference(g, process, r, jobs):
-    new, old = SEARCHES[process]
-    assert _outcome(new, g, r, jobs=jobs) == _outcome(old, g, r)
+    new = _outcome(oracle.min_percolating, g, r, process, jobs=jobs)
+    assert new == _outcome(REFERENCE[process], g, r)
 
 
 @pytest.mark.parametrize("budget", [1, 10, 100, 137, 1000])
 def test_budget_refusals_match_reference(budget):
     g = make_hamming(HammingSpace(4, 2))
-    new, old = SEARCHES["vertex"]
-    assert _outcome(new, g, 3, max_engine_calls=budget) == _outcome(
-        old, g, 3, max_engine_calls=budget
-    )
+    new = _outcome(oracle.min_percolating, g, 3, "vertex", max_engine_calls=budget)
+    assert new == _outcome(ref.min_percolating_vertices, g, 3, max_engine_calls=budget)
 
 
 @st.composite
@@ -117,7 +103,7 @@ def _graph_seed(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [p for p in pairs if draw(st.booleans())]
     g = Graph.from_edges(n, edges)
-    process = draw(st.sampled_from(sorted(ENGINES)))
+    process = draw(st.sampled_from(["line", "star", "vertex"]))
     size = g.vertex_count if process == "vertex" else g.edge_count
     seed = draw(st.sets(st.integers(0, size - 1), max_size=size)) if size else set()
     return g, process, draw(st.integers(0, 5)), seed
@@ -130,9 +116,8 @@ def test_closure_is_the_engines_final_set(case):
     rules, _ = oracle._rules(g, r, process)
     mask = oracle._mask(seed)
     closed = oracle._close(rules, mask, mask)
-    run, percolates = ENGINES[process]
-    final = run(g, r, seed).final
+    final = percolate(g, r, process, seed).final
     if process != "vertex":
         final = {g.edge_id(u, v) for u, v in final}
     assert closed == oracle._mask(final)
-    assert (closed == rules[2]) == percolates(g, r, seed)
+    assert (closed == rules[2]) == is_percolating(g, r, process, seed)
