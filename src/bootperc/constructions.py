@@ -15,8 +15,9 @@ floating point would misclassify them.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import combinations, filterfalse
 from math import comb
+from typing import Iterator
 
 from bootperc.errors import PreconditionError, ResourceLimitError, check_threshold
 from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, HammingSpace
@@ -29,10 +30,9 @@ Region = frozenset[Point]
 # dominates; reflecting ids from the strides, not point tuples, left that
 # peak in place), as much as 3-16 CSR slots, so the graphs' slot cap admits
 # a sixteenth as many points: at most about 300 MB.  Building an edge seed
-# peaks at 120-400 bytes per edge (measured near the cap on the line seed
-# and on star seeds of dimension 1, 2, 3, 9 and 20: the edge tuples, the
-# lower dimensions' lists, the final set), so the same cap bounds its
-# edges: at most about 500 MB.
+# peaks at 80-170 bytes per edge (measured near the cap on the line seed
+# and on star seeds of dimension 1, 2, 3, 9 and 20: the edge tuples and
+# the set), so the same cap bounds its edges: at most about 210 MB.
 _SEED_CAP = DEFAULT_SLOT_CAP // 16
 
 
@@ -196,10 +196,11 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
     """Recursive star-process seed on the Hamming graph of dimension d.
 
     Layer t (last coordinate = t) carries the dimension d-1 seed for
-    threshold r-t, for t = 0..r-1; layers with r-t <= 0 are empty.
-    Total size is C(d+r, d+1), checked against the seed cap before any
-    edge is built.  The seeds are built bottom-up, one dimension at a
-    time, so d is not bounded by the recursion limit.
+    threshold r-t.  Unrolled, layer tau = (t_2..t_d) carries the edges
+    {i*s_1 + tau, j*s_1 + tau}, i < j <= k = r - (t_2+...+t_d), for the
+    stride s_1 of the first coordinate.  Total size is C(d+r, d+1),
+    checked against the seed cap before any edge is built.  A stack walks
+    the layers, so d is not bounded by the recursion limit.
     """
     check_threshold(r)
     if d < 1:
@@ -208,19 +209,20 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
         raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
     if _binomial_exceeds(d + r, d + 1, _SEED_CAP):
         raise _too_many_edges("star seed", f"C({d + r},{d + 1})")
-    if d == 1 or r == 0:
-        # d = 1 needs no seeds below threshold r; r = 0 has the empty seed in any d
-        return star_seed_complete(n, r)
-    # seeds[k]: the seed for threshold k, k = 0..r, of the current dimension
-    seeds = [star_seed_complete(n, k) for k in range(r + 1)]
+    if r == 0:
+        return frozenset()  # whatever d is: no stride is computed
+    strides = HammingSpace(n, d).strides
 
-    def lift(k: int) -> list[Edge]:
-        # vertex a of the lower-dimensional layer t sits at index a*n + t
-        return [(a * n + t, b * n + t) for t in range(k) for a, b in seeds[k - t]]
+    def edges() -> Iterator[Edge]:
+        # (id of tau, k, first coordinate tau may still raise): each tau once
+        layers = [(0, r, 1)]
+        while layers:
+            tau, k, low = layers.pop()
+            if k > 1:
+                layers += [(tau + s, k - 1, c) for c, s in enumerate(strides[low:], low)]
+            yield from combinations([i * strides[0] + tau for i in range(k + 1)], 2)
 
-    for _ in range(d - 2):
-        seeds = [lift(k) for k in range(r + 1)]
-    return frozenset(lift(r))
+    return frozenset(edges())
 
 
 def line_seed(n: int, r: int) -> frozenset[Edge]:

@@ -43,9 +43,10 @@ The vertex and star processes run one packed closure: a byte-aligned
 counter field per vertex, all in one int, updated a round at a time by
 shifting the frontier along each axis (see :class:`_Packed`); the star
 process is the vertex closure on the saturated vertices.  The line
-process, on K_n only, keeps one bitmask row per vertex.  Their rounds
-are the CSR kernel's, and :func:`check_packed` bounds their memory and
-their work per round before anything is built.
+process, on K_n only, keeps one bitmask row per vertex.  Both edge
+processes read the seed in one pass into its one copy, a list of seed
+neighbours per vertex.  Their rounds are the CSR kernel's, and
+:func:`check_packed` bounds their memory and work per round up front.
 
 Sets of vertices or edge pairs are built only for the
 :class:`ActivationTrace` of :func:`percolate`; ``is_percolating`` and
@@ -54,8 +55,8 @@ Sets of vertices or edge pairs are built only for the
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress
+from collections import defaultdict
+from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 from bootperc.errors import (
@@ -91,9 +92,9 @@ class ActivationTrace(NamedTuple):
 def _vertex_ids(count: int, r: int, seed: Iterable[int]) -> list[int]:
     check_threshold(r)
     out = list(seed)
-    if out and (min(out) < 0 or max(out) >= count):
-        bad = next(v for v in out if not 0 <= v < count)
-        raise PreconditionError(f"seed vertex {bad} not in graph")
+    for v in out:
+        if not (isinstance(v, int) and 0 <= v < count):
+            raise PreconditionError(f"seed vertex {v!r} not in graph")
     return out
 
 
@@ -312,23 +313,22 @@ class _Packed:
     def _repeat(pattern: bytes, times: int) -> int:
         return int.from_bytes(pattern * times, "little")
 
-    def pack(self, counts: dict[int, int]) -> int:
-        """The int whose field x holds counts[x], and every other field 0."""
+    def tally(self, vertices: Iterable[int]) -> int:
+        """The int whose field x holds how often x occurs in ``vertices``, carried up its bytes."""
         width = self.width
         buf = bytearray(self.size * width)
-        for x, k in counts.items():
-            if k < 256:
-                buf[x * width] = k
-            else:
-                buf[x * width : (x + 1) * width] = k.to_bytes(width, "little")
+        for x in vertices:
+            i = x * width
+            while buf[i] == 255:
+                buf[i] = 0
+                i += 1
+            buf[i] += 1
         return int.from_bytes(buf, "little")
 
-    def flags(self, vertices: int) -> bytes:
-        """One byte per vertex, nonzero for the members of a vertex set."""
-        return vertices.to_bytes(self.size * self.width, "little")[:: self.width]
-
     def ids(self, vertices: int) -> Iterator[int]:
-        return compress(range(self.size), self.flags(vertices))
+        """The members of a vertex set: the vertices whose field's low byte is nonzero."""
+        low = vertices.to_bytes(self.size * self.width, "little")[:: self.width]
+        return compress(range(self.size), low)
 
     def line_sums(self, frontier: int) -> int:
         """Per field: the frontier's members on the vertex's d lines, the vertex itself d times.
@@ -344,7 +344,7 @@ class _Packed:
         return total
 
     def rounds(
-        self, r: int, count: int, active: int, frontier: int, correct=None
+        self, r: int, count: int, active: int, frontier: int, correct=lambda frontier: 0
     ) -> Iterator[int]:
         """Each round's newly active vertices, packed, until none activates.
 
@@ -361,10 +361,7 @@ class _Packed:
         d = self.d
         while True:
             if frontier:
-                gain = self.line_sums(frontier) - d * frontier
-                if correct is not None:
-                    gain -= correct(frontier)
-                count += gain
+                count += self.line_sums(frontier) - d * frontier - correct(frontier)
             new = (count & high) >> self.top & inactive
             if not new:
                 return
@@ -373,17 +370,28 @@ class _Packed:
             frontier = new
 
 
-def _hamming_pairs(space: HammingSpace, r: int, seed: Iterable) -> set[Edge]:
+def _seed_neighbours(space: HammingSpace, r: int, seed: Iterable) -> dict[int, list[int]]:
+    """The seed's distinct edges, listed at both ends, from one checked pass over ``seed``."""
     check_threshold(r)
-    out = set()
+    others: defaultdict[int, list[int]] = defaultdict(list)
     for e in seed:
-        if not space.is_edge(*e):
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise PreconditionError(f"seed edge {e!r} is not a pair of ints")
+        if not space.is_edge(u, v):
             raise _not_an_edge(e)
-        out.add(normalize_edge(*e))
-    return out
+        others[u].append(v)
+        others[v].append(u)
+    for x, ys in others.items():
+        if len(ys) > len(distinct := set(ys)):
+            others[x] = list(distinct)
+    return others
 
 
-def _star_rounds(p: _Packed, r: int, pairs: set[Edge]) -> Iterator[int]:
+def _star_rounds(p: _Packed, r: int, others: dict[int, list[int]]) -> Iterator[int]:
     """Each round's newly saturated vertices of the star process, packed.
 
     A vertex is saturated once all its edges are active, and the active
@@ -393,21 +401,16 @@ def _star_rounds(p: _Packed, r: int, pairs: set[Edge]) -> Iterator[int]:
     vertex closure on S, with each count biased by the seed degree, less
     one for each seed edge whose other end saturates.
     """
-    others: dict[int, list[int]] = {}
-    for u, v in pairs:
-        others.setdefault(u, []).append(v)
-        others.setdefault(v, []).append(u)
-    ends = p.pack(dict.fromkeys(others, 1))
+    ends = p.tally(others)
 
     def correct(frontier: int) -> int:
         hits = frontier & ends
-        return hits and p.pack(Counter(x for y in p.ids(hits) for x in others[y]))
+        return hits and p.tally(x for y in p.ids(hits) for x in others[y])
 
-    degrees = {x: len(ys) for x, ys in others.items()}
-    return p.rounds(r, p.pack(degrees), 0, 0, correct)
+    return p.rounds(r, p.tally(chain.from_iterable(others.values())), 0, 0, correct)
 
 
-def _line_rounds(n: int, r: int, pairs: set[Edge]) -> Iterator[list[tuple[int, int]]]:
+def _line_rounds(n: int, r: int, others: dict[int, list[int]]) -> Iterator[list[tuple[int, int]]]:
     """Each round of the line process on K_n, as (u, bits of u's new neighbors) pairs.
 
     missing[u] holds the bits v of u's inactive edges uv, and degree[u]
@@ -418,9 +421,8 @@ def _line_rounds(n: int, r: int, pairs: set[Edge]) -> Iterator[list[tuple[int, i
     masks: no vertex misses an edge to them.
     """
     missing = [((1 << n) - 1) ^ (1 << u) for u in range(n)]
-    for u, v in pairs:
-        missing[u] ^= 1 << v
-        missing[v] ^= 1 << u
+    for u, vs in others.items():
+        missing[u] ^= sum(1 << v for v in vs)
     degree = [n - 1 - row.bit_count() for row in missing]
     live = [u for u in range(n) if missing[u]]
     while live:
@@ -446,25 +448,25 @@ def _line_rounds(n: int, r: int, pairs: set[Edge]) -> Iterator[list[tuple[int, i
 def _packed_closure(space: HammingSpace, r: int, process: str, seed: Iterable):
     """(geometry, distinct seed, rounds) after the guard and the seed checks.
 
-    Vertex and star rounds are packed vertex sets: the newly active, or
-    newly saturated, vertices.  Line rounds are lists of
-    (u, bits of u's new neighbors).  Round i matches the CSR kernel's
-    round i: the same vertices or edges or, for the star process, the
-    vertices that first carry r active edges after its round i-1 (the
-    seed, for i = 1), whose inactive edges its round i activates.  The
-    star rounds may end with one more round of such vertices, that had
-    no inactive edge left.
+    The distinct seed is a vertex set or :func:`_seed_neighbours`.  Vertex
+    and star rounds are packed vertex sets: the newly active, or newly
+    saturated, vertices.  Line rounds are lists of (u, bits of u's new
+    neighbors).  Round i matches the CSR kernel's round i: the same
+    vertices or edges or, for the star process, the vertices that first
+    carry r active edges after its round i-1 (the seed, for i = 1), whose
+    inactive edges its round i activates.  The star rounds may end with
+    one more round of such vertices, that had no inactive edge left.
     """
     check_packed(space, process)
     p = _Packed(space)
     if process == _VERTEX:
         start = set(_vertex_ids(p.size, r, seed))
-        first = p.pack(dict.fromkeys(start, 1))
+        first = p.tally(start)
         return p, start, p.rounds(r, 0, first, first)
-    pairs = _hamming_pairs(space, r, seed)
+    others = _seed_neighbours(space, r, seed)
     if process == _LINE:
-        return p, pairs, _line_rounds(p.n, r, pairs)
-    return p, pairs, _star_rounds(p, r, pairs)
+        return p, others, _line_rounds(p.n, r, others)
+    return p, others, _star_rounds(p, r, others)
 
 
 def is_percolating_hamming(space: HammingSpace, r: int, process: str, seed: Iterable) -> bool:
@@ -476,16 +478,15 @@ def is_percolating_hamming(space: HammingSpace, r: int, process: str, seed: Iter
     ResourceLimitError as :func:`check_packed` does.
     """
     p, start, rounds = _packed_closure(space, r, process, seed)
-    if process == _LINE:
-        twice = sum(fresh.bit_count() for new in rounds for _, fresh in new)
-        return len(start) + twice // 2 == p.n * (p.n - 1) // 2
-    gained = sum(new.bit_count() for new in rounds)
     if process == _VERTEX:
-        return len(start) + gained == p.size
+        return len(start) + sum(new.bit_count() for new in rounds) == p.size
+    seeded = sum(map(len, start.values()))  # twice the seed edges: listed at both ends
+    if process == _LINE:  # each new edge uv is a bit of u's and of v's
+        return seeded + sum(f.bit_count() for new in rounds for _, f in new) == p.n * (p.n - 1)
     if r > p.degree:  # nothing saturates: only a seed of every edge percolates
-        return len(start) == p.size * p.degree // 2
+        return seeded == p.size * p.degree
     # an unsaturated vertex with every edge active would saturate next round
-    return gained == p.size
+    return sum(new.bit_count() for new in rounds) == p.size
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +521,8 @@ def seed_from_text(text: str) -> tuple[frozenset[int], frozenset[Edge]]:
     return frozenset(vertices), frozenset(edges)
 
 
-def _jsonable_element(x) -> object:
-    return list(x) if isinstance(x, tuple) else x
-
-
 def _jsonable_set(s: frozenset) -> list:
-    return [_jsonable_element(x) for x in sorted(s)]
+    return [list(x) if isinstance(x, tuple) else x for x in sorted(s)]
 
 
 def trace_to_jsonable(trace: ActivationTrace, percolated: bool) -> dict:

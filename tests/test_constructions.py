@@ -6,7 +6,9 @@ from itertools import product
 from math import ceil, comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_star
 from bootperc import constructions
 from bootperc.constructions import (
     _binomial_exceeds,
@@ -332,6 +334,15 @@ class TestStarSeeds:
         started = time.perf_counter()
         assert star_seed_hamming(1, 0, 10**7) == frozenset()
         assert time.perf_counter() - started < 0.5
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2))
+    @example(1, 0, 0)  # r = 0, d = 1, n = r + 1
+    @example(1, 4, 0)
+    @example(5, 0, 1)
+    def test_matches_the_lifted_reference(self, d, r, spare):
+        n = r + 1 + spare  # n = r + 1 is the smallest n the seed admits
+        assert star_seed_hamming(n, r, d) == reference_star.star_seed_hamming(n, r, d)
 
     def test_layer_decomposition(self):
         # layer t along the last coordinate carries the seed for threshold r-t

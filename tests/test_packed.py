@@ -1,6 +1,7 @@
 """The packed closures on K_n^d against the CSR engine, round for round."""
 
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
@@ -56,9 +57,15 @@ def packed_rounds(n, d, r, process, seed):
     """The packed closure's distinct seed and its rounds, as sets.
 
     Vertex rounds hold the newly active vertices, star rounds the newly
-    saturated vertices, line rounds the newly active edges.
+    saturated vertices, line rounds the newly active edges.  An edge seed,
+    which the closure keeps as neighbour lists, is checked to list each
+    edge once at each end and given back as (u, v) pairs, u < v.
     """
     p, start, rounds = _packed_closure(HammingSpace(n, d), r, process, seed)
+    if process != "vertex":
+        listed = [(u, v) for u, vs in start.items() for v in vs]
+        start = {(u, v) for u, v in listed if u < v}
+        assert sorted(listed) == sorted(chain(start, ((v, u) for u, v in start)))
     if process == "line":
         def edges(new):
             return {(u, v) for u, fresh in new for v in range(u + 1, n) if fresh >> v & 1}
@@ -157,6 +164,40 @@ def test_threshold_past_every_field(process):
         assert assert_same(4, 1, r, process, seed).rounds == ()
 
 
+@pytest.mark.parametrize("process", ["star", "line"])
+def test_repeated_seed_edges_count_once(process):
+    # one edge three times, in both orders, is one seed edge
+    assert_same(5, 1, 2, process, [(0, 1), (1, 0), (0, 1), (2, 3)])
+
+
+def test_star_correction_carries_across_bytes():
+    # K_258 has degree 257, so a count field takes two bytes.  Every edge
+    # at Y = 1..256 is in the seed, so Y saturates in round 1 and takes
+    # back 256 seed edges from 0 and from 257 at once: more than one byte.
+    n, ys = 258, range(1, 257)
+    seed = [(u, v) for u in ys for v in range(u + 1, n)] + [(0, y) for y in ys]
+    assert_same(n, 1, 257, "star", seed)
+    assert packed_rounds(n, 1, 257, "star", seed)[1] == [set(ys)]
+
+
+def test_star_seed_is_held_once():
+    # the seed's edge tuples share each layer's vertex ids, and the closure
+    # keeps one neighbour list per seed vertex besides its packed ints
+    tracemalloc.start()
+    try:
+        seed = star_seed_hamming(20, 19, 3)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert is_percolating_hamming(HammingSpace(20, 3), 19, "star", seed)
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(seed) == 7315
+    assert built < 180 * len(seed)
+    assert extra < 110 * len(seed)
+
+
 class TestSeedValidation:
     """The packed path refuses what the CSR path refuses, with the same message."""
 
@@ -186,6 +227,32 @@ class TestSeedValidation:
     def test_pair_that_is_not_an_edge(self, n, d, process, pair):
         got = self.messages(n, d, 1, process, [(0, 1), pair])
         assert got == (f"seed edge {tuple(sorted(pair))} not in graph",) * 2
+
+    @pytest.mark.parametrize("vertex", [0.0, "a", (0, 1)])
+    def test_vertex_that_is_not_an_int(self, vertex):
+        got = self.messages(3, 2, 1, "vertex", [1, vertex])
+        assert got == (f"seed vertex {vertex!r} not in graph",) * 2
+
+    def refused(self, process, element):
+        with pytest.raises(PreconditionError, match="is not a pair of ints"):
+            is_percolating_hamming(HammingSpace(5, 1), 1, process, [(0, 1), element])
+
+    @pytest.mark.parametrize("process", ["star", "line"])
+    def test_int_element(self, process):
+        self.refused(process, 5)
+
+    @pytest.mark.parametrize("process", ["star", "line"])
+    def test_triple(self, process):
+        self.refused(process, (0, 1, 2))
+
+    @pytest.mark.parametrize("process", ["star", "line"])
+    def test_pair_of_a_string_and_an_int(self, process):
+        self.refused(process, ("a", 1))
+
+    @pytest.mark.parametrize("process", ["star", "line"])
+    def test_pair_with_a_float(self, process):
+        assert HammingSpace(5, 1).is_edge(0.0, 1)  # the edge test alone lets it through
+        self.refused(process, (0.0, 1))
 
     @pytest.mark.parametrize("process", ["vertex", "star", "line"])
     def test_negative_threshold(self, process):
