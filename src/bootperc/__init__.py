@@ -6,95 +6,93 @@ near-minimum seed constructions for those processes; their closed-form
 sizes and sandwich bounds; an exact integer-rank computation of the
 recognized-polynomial lower bound; and a brute-force oracle that
 cross-validates everything on tiny instances.
+
+Importing the package runs only :mod:`bootperc.errors`.  Each other
+layer module is registered in ``sys.modules`` and bound here at once,
+but its code runs on the first access to one of its attributes, so a
+command compiles only the layers it calls.  The public names below are
+served from their layer modules on first use (PEP 562).
 """
 
-from bootperc.constructions import (
-    carved_corner_set,
-    carved_region,
-    inner_cut_region,
-    line_seed,
-    simplex_corner_set,
-    simplex_region,
-    star_seed_complete,
-    star_seed_hamming,
-    vertex_seed_dim2,
-)
-from bootperc.engine import (
-    ActivationTrace,
-    is_percolating,
-    is_percolating_hamming,
-    percolate,
-    seed_from_text,
-    seed_to_text,
-    trace_to_jsonable,
-)
-from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
-from bootperc.formulas import (
-    min_seed_complete,
-    min_seed_hamming_bounds,
-    min_seed_hamming_dim2,
-    min_seed_line_complete,
-    weak_saturation_hamming,
-)
-from bootperc.graphs import (
-    Graph,
-    HammingSpace,
-    graph_from_text,
-    graph_to_text,
-    make_complete,
-    make_hamming,
-    make_line_graph,
-)
-from bootperc.oracle import SearchResult, min_percolating
-from bootperc.polymethod import (
-    DimReport,
-    EdgeColoring,
-    is_proper_coloring,
-    product_coloring_on,
-    recognized_space_dim_hamming,
-    recognized_space_report,
-)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+from bootperc import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivationTrace",
-    "DimReport",
-    "EdgeColoring",
-    "FormatError",
-    "Graph",
-    "HammingSpace",
-    "PreconditionError",
-    "ResourceLimitError",
-    "SearchResult",
-    "carved_corner_set",
-    "carved_region",
-    "graph_from_text",
-    "graph_to_text",
-    "inner_cut_region",
-    "is_percolating",
-    "is_percolating_hamming",
-    "is_proper_coloring",
-    "line_seed",
-    "make_complete",
-    "make_hamming",
-    "make_line_graph",
-    "min_percolating",
-    "min_seed_complete",
-    "min_seed_hamming_bounds",
-    "min_seed_hamming_dim2",
-    "min_seed_line_complete",
-    "percolate",
-    "product_coloring_on",
-    "recognized_space_dim_hamming",
-    "recognized_space_report",
-    "seed_from_text",
-    "seed_to_text",
-    "simplex_corner_set",
-    "simplex_region",
-    "star_seed_complete",
-    "star_seed_hamming",
-    "trace_to_jsonable",
-    "vertex_seed_dim2",
-    "weak_saturation_hamming",
-]
+
+def _lazy(layer: str):
+    """The module bootperc.<layer>, in sys.modules, its code not yet run."""
+    spec = find_spec(f"{__name__}.{layer}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+graphs = _lazy("graphs")
+linalg = _lazy("linalg")
+formulas = _lazy("formulas")
+engine = _lazy("engine")
+constructions = _lazy("constructions")
+oracle = _lazy("oracle")
+polymethod = _lazy("polymethod")
+
+# public name -> the module that defines it
+_HOMES = {
+    "carved_corner_set": constructions,
+    "carved_region": constructions,
+    "inner_cut_region": constructions,
+    "line_seed": constructions,
+    "simplex_corner_set": constructions,
+    "simplex_region": constructions,
+    "star_seed_complete": constructions,
+    "star_seed_hamming": constructions,
+    "vertex_seed_dim2": constructions,
+    "ActivationTrace": engine,
+    "is_percolating": engine,
+    "is_percolating_hamming": engine,
+    "percolate": engine,
+    "seed_from_text": engine,
+    "seed_to_text": engine,
+    "trace_to_jsonable": engine,
+    "FormatError": errors,
+    "PreconditionError": errors,
+    "ResourceLimitError": errors,
+    "min_seed_complete": formulas,
+    "min_seed_hamming_bounds": formulas,
+    "min_seed_hamming_dim2": formulas,
+    "min_seed_line_complete": formulas,
+    "weak_saturation_hamming": formulas,
+    "Graph": graphs,
+    "HammingSpace": graphs,
+    "graph_from_text": graphs,
+    "graph_to_text": graphs,
+    "make_complete": graphs,
+    "make_hamming": graphs,
+    "make_line_graph": graphs,
+    "SearchResult": oracle,
+    "min_percolating": oracle,
+    "DimReport": polymethod,
+    "EdgeColoring": polymethod,
+    "is_proper_coloring": polymethod,
+    "product_coloring_on": polymethod,
+    "recognized_space_dim_hamming": polymethod,
+    "recognized_space_report": polymethod,
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(home, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

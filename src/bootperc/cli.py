@@ -11,21 +11,12 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from bootperc import constructions, formulas, oracle
-from bootperc.engine import (
-    check_packed,
-    is_percolating_hamming,
-    percolate,
-    seed_from_text,
-    seed_to_text,
-    trace_to_jsonable,
-)
+from bootperc import constructions, engine, formulas, graphs, oracle, polymethod
 from bootperc.errors import (
     PROCESSES,
     FormatError,
@@ -33,15 +24,6 @@ from bootperc.errors import (
     ResourceLimitError,
     check_threshold,
 )
-from bootperc.graphs import (
-    Graph,
-    HammingSpace,
-    graph_from_text,
-    make_complete,
-    make_hamming,
-    make_line_graph,
-)
-from bootperc.polymethod import product_coloring_on, recognized_space_report
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,7 +31,7 @@ if TYPE_CHECKING:
 KNOWN_FAMILIES = ("Kn", "Hamming", "LineK")
 
 
-def load_graph(spec: str) -> Graph:
+def load_graph(spec: str) -> graphs.Graph:
     """Family spec ("Kn:4", "Hamming:4,2", "LineK:5") or path to a graph file."""
     if ":" in spec:
         name, _, rest = spec.partition(":")
@@ -60,19 +42,19 @@ def load_graph(spec: str) -> Graph:
         if name == "Kn":
             if len(args) != 1:
                 raise PreconditionError("Kn takes one parameter, e.g. Kn:4")
-            return make_complete(args[0])
+            return graphs.make_complete(args[0])
         if name == "Hamming":
             if len(args) != 2:
                 raise PreconditionError("Hamming takes two parameters, e.g. Hamming:4,2")
-            return make_hamming(HammingSpace(args[0], args[1]))
+            return graphs.make_hamming(graphs.HammingSpace(args[0], args[1]))
         if name == "LineK":
             if len(args) != 1:
                 raise PreconditionError("LineK takes one parameter, e.g. LineK:5")
-            return make_line_graph(make_complete(args[0]))
+            return graphs.make_line_graph(graphs.make_complete(args[0]))
         raise PreconditionError(
             f"unknown graph family {name!r}; known families: {', '.join(KNOWN_FAMILIES)}"
         )
-    return graph_from_text(_read_text(spec))
+    return graphs.graph_from_text(_read_text(spec))
 
 
 def _read_text(path: str) -> str:
@@ -90,12 +72,18 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _json(obj: object) -> str:
+    import json  # loaded by the first JSON printed: verify, construct and table print none
+
+    return json.dumps(obj)
+
+
 # family: (process, dimension when --d is omitted, seed builder taking (n, r, d))
 _FAMILIES = {
     "v2": ("vertex", 2, lambda n, r, d: constructions.vertex_seed_dim2(n, r)),
-    "a": ("vertex", 2, constructions.simplex_corner_set),
-    "c": ("vertex", 2, constructions.carved_corner_set),
-    "star": ("star", 1, constructions.star_seed_hamming),
+    "a": ("vertex", 2, lambda n, r, d: constructions.simplex_corner_set(n, r, d)),
+    "c": ("vertex", 2, lambda n, r, d: constructions.carved_corner_set(n, r, d)),
+    "star": ("star", 1, lambda n, r, d: constructions.star_seed_hamming(n, r, d)),
     "line": ("line", 1, lambda n, r, d: constructions.line_seed(n, r)),
 }
 
@@ -114,7 +102,7 @@ def _family(family: str, d: int | None):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    vertices, edges = seed_from_text(_read_text(args.seed))
+    vertices, edges = engine.seed_from_text(_read_text(args.seed))
     if args.process == "vertex":
         if edges:
             raise PreconditionError("vertex process needs a vertex seed, found edges")
@@ -123,9 +111,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if vertices:
             raise PreconditionError("edge process needs an edge seed, found vertices")
         seed, size = edges, g.edge_count
-    trace = percolate(g, args.r, args.process, seed)
+    trace = engine.percolate(g, args.r, args.process, seed)
     percolated = len(trace.final) == size
-    _emit(json.dumps(trace_to_jsonable(trace, percolated)) + "\n", args.out)
+    _emit(_json(engine.trace_to_jsonable(trace, percolated)) + "\n", args.out)
     return 0
 
 
@@ -135,7 +123,7 @@ def _check_printable(n: int, d: int) -> None:
     if n < 2 or d < 1 or limit == 0:
         return  # the builders refuse a bad n or d with their own messages
     bound = 10**limit
-    if HammingSpace(n, d).capped_size(bound) > bound:
+    if graphs.HammingSpace(n, d).capped_size(bound) > bound:
         raise ResourceLimitError(
             f"vertex ids of [0,{n})^{d} would have more than {limit} digits, "
             "the most an integer is printed with"
@@ -147,7 +135,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     _check_printable(args.n, d)
     seed = build(args.n, args.r, d)
     vertices, edges = (seed, ()) if process == "vertex" else ((), seed)
-    _emit(seed_to_text(vertices, edges), args.out)
+    _emit(engine.seed_to_text(vertices, edges), args.out)
     stream = sys.stdout if args.out is not None else sys.stderr
     print(f"size={len(seed)}", file=stream)
     return 0
@@ -155,11 +143,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     process, d, build = _family(args.family, args.d)
-    space = HammingSpace(args.n, d)  # the line family's K_n is HammingSpace(n, 1)
+    space = graphs.HammingSpace(args.n, d)  # the line family's K_n is HammingSpace(n, 1)
     # the packed guard first: it refuses a dimension before the seed enumerates it
-    check_packed(space, process)
+    engine.check_packed(space, process)
     seed = build(args.n, args.r, d)
-    ok = is_percolating_hamming(space, args.r, process, seed)
+    ok = engine.is_percolating_hamming(space, args.r, process, seed)
     print(f"{'PERCOLATES' if ok else 'STALLS'} size={len(seed)}")
     return 0
 
@@ -219,8 +207,8 @@ def cmd_dimw(args: argparse.Namespace) -> int:
     check_threshold(args.r)
     g = load_graph(args.graph)
     gammas = _generators(args.generators) if args.generators else None
-    coloring = product_coloring_on(g, gammas)
-    report = recognized_space_report(g, coloring, args.r)
+    coloring = polymethod.product_coloring_on(g, gammas)
+    report = polymethod.recognized_space_report(g, coloring, args.r)
     payload: dict[str, object] = {"dim": report.dim}
     if args.details:
         payload.update(
@@ -230,7 +218,7 @@ def cmd_dimw(args: argparse.Namespace) -> int:
                 "kernel_dim": report.kernel_dim,
             }
         )
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(_json(payload) + "\n", args.out)
     return 0
 
 
@@ -251,7 +239,7 @@ def _generators(text: str) -> list[Fraction | int]:
 def cmd_search(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     result = oracle.min_percolating(g, args.r, args.process, args.cap, args.max_calls, args.jobs)
-    _emit(json.dumps(result._asdict()) + "\n", args.out)
+    _emit(_json(result._asdict()) + "\n", args.out)
     return 0
 
 
@@ -309,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--process", choices=PROCESSES, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-calls", type=int, default=oracle.DEFAULT_ENGINE_CALL_BUDGET)
+    p.add_argument("--max-calls", type=int)
     p.add_argument("--cap", type=int, help="vertex or edge search cap (default by process)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)
@@ -324,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (PreconditionError, FormatError, ResourceLimitError, OSError) as exc:
         reason = {"error": type(exc).__name__, "reason": str(exc)}
-        print(json.dumps(reason), file=sys.stderr)
+        print(_json(reason), file=sys.stderr)
         return 1
 
 

@@ -98,8 +98,19 @@ def _vertex_ids(count: int, r: int, seed: Iterable[int]) -> list[int]:
     return out
 
 
-def _not_an_edge(e) -> PreconditionError:
-    return PreconditionError(f"seed edge {normalize_edge(*e)} not in graph")
+def _edge_pair(e) -> tuple[int, int]:
+    """The two ends of seed edge ``e``; PreconditionError unless it is a pair of ints."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        u = v = None
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise PreconditionError(f"seed edge {e!r} is not a pair of ints")
+    return u, v
+
+
+def _not_an_edge(u: int, v: int) -> PreconditionError:
+    return PreconditionError(f"seed edge {normalize_edge(u, v)} not in graph")
 
 
 def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
@@ -112,10 +123,11 @@ def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
                 raise PreconditionError(f"seed edge id {e} not in graph")
             out.append(e)
         else:
+            u, v = _edge_pair(e)
             try:
-                out.append(g.edge_id(*e))
+                out.append(g.edge_id(u, v))
             except KeyError:
-                raise _not_an_edge(e) from None
+                raise _not_an_edge(u, v) from None
     return out
 
 
@@ -375,14 +387,9 @@ def _seed_neighbours(space: HammingSpace, r: int, seed: Iterable) -> dict[int, l
     check_threshold(r)
     others: defaultdict[int, list[int]] = defaultdict(list)
     for e in seed:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            u = v = None
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise PreconditionError(f"seed edge {e!r} is not a pair of ints")
+        u, v = _edge_pair(e)
         if not space.is_edge(u, v):
-            raise _not_an_edge(e)
+            raise _not_an_edge(u, v)
         others[u].append(v)
         others[v].append(u)
     for x, ys in others.items():

@@ -427,13 +427,15 @@ def min_percolating(
     r: int,
     process: str,
     cap: int | None = None,
-    max_engine_calls: int = DEFAULT_ENGINE_CALL_BUDGET,
+    max_engine_calls: int | None = None,
     jobs: int = 1,
 ) -> SearchResult:
     """Exact minimum size of a percolating seed under ``process``, with a witness.
 
     ``cap`` bounds the vertices (vertex process) or edges (star and line)
     searched over; None takes DEFAULT_VERTEX_CAP or DEFAULT_EDGE_CAP.
+    ``max_engine_calls`` is the budget checked per level; None takes
+    DEFAULT_ENGINE_CALL_BUDGET.
     """
     check_process(process)
     check_threshold(r)
@@ -445,6 +447,8 @@ def min_percolating(
         size, kind = g.edge_count, "edges"
     if cap is None:
         cap = DEFAULT_VERTEX_CAP if process == "vertex" else DEFAULT_EDGE_CAP
+    if max_engine_calls is None:
+        max_engine_calls = DEFAULT_ENGINE_CALL_BUDGET
     if size > cap:
         raise ResourceLimitError(f"{size} {kind} exceed the search cap {cap}")
     rules, flat = _rules(g, r, process)

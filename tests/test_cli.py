@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bootperc
 from bootperc import oracle
 from bootperc.cli import load_graph, main
 from bootperc.errors import PreconditionError
@@ -565,25 +567,57 @@ class TestRejectedInput:
         assert elapsed < 1.0
 
 
+LAYERS = ("graphs", "linalg", "formulas", "engine", "constructions", "oracle", "polymethod")
+
+# Prints the layers whose code has run, read without triggering a lazy load.
+EXECUTED_LAYERS = (
+    "import sys; "
+    f"print(*[m for m in {LAYERS!r} "
+    "if any(not k.startswith('__') for k in "
+    "object.__getattribute__(sys.modules['bootperc.' + m], '__dict__'))])"
+)
+
+
+def run_python(code, cwd=None):
+    """stdout of ``python -c CODE`` in a fresh interpreter running the package from src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
 class TestStartup:
-    """``import bootperc.cli`` loads every layer, and no pool, dataclass, rational or CSV machinery."""
+    """``import bootperc.cli`` runs no layer, and no pool, dataclass, rational or CSV machinery."""
 
     def test_import_footprint(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, bootperc.cli; print(*sys.modules)"],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        loaded = set(out.split())
+        loaded = set(run_python("import sys, bootperc.cli; print(*sys.modules)").split())
         heavy = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging",
-                 "fractions", "decimal", "numbers", "csv"}
+                 "fractions", "decimal", "numbers", "csv", "json"}
         assert sorted(heavy & loaded) == []
-        # the benchmark's tracer reads every layer from sys.modules
-        layers = ("graphs", "constructions", "engine", "formulas", "oracle", "polymethod", "linalg")
-        assert sorted({f"bootperc.{m}" for m in layers} - loaded) == []
+        # every layer is in sys.modules, where the benchmark's tracer reads it
+        assert sorted({f"bootperc.{m}" for m in LAYERS} - loaded) == []
+
+    def test_import_runs_no_layer(self):
+        assert run_python(f"import bootperc.cli; {EXECUTED_LAYERS}") == "\n"
+
+    @pytest.mark.parametrize(
+        "argv,layers",
+        [
+            (["verify", "--family", "c", "--n", "9", "--r", "8", "--d", "5"],
+             "graphs engine constructions"),
+            (["dimw", "Kn:16", "--r", "5"], "graphs linalg polymethod"),
+            (["search", "Kn:6", "--r", "4", "--process", "line"], "graphs oracle"),
+        ],
+        ids=["verify", "dimw", "search"],
+    )
+    def test_each_command_runs_only_its_layers(self, argv, layers):
+        code = f"import bootperc.cli; bootperc.cli.main({argv!r}); {EXECUTED_LAYERS}"
+        assert run_python(code).splitlines()[-1] == layers
 
     @pytest.mark.parametrize(
         "code,answer",
@@ -595,31 +629,64 @@ class TestStartup:
         ids=["verify-c", "lifted-dimension"],
     )
     def test_integer_paths_load_no_rationals(self, code, answer):
-        src = Path(__file__).resolve().parent.parent / "src"
-        out = subprocess.run(
-            [sys.executable, "-c", f"import sys, bootperc.cli; {code}; print(*sys.modules)"],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
+        out = run_python(f"import sys, bootperc.cli; {code}; print(*sys.modules)")
         printed, loaded = out.split("\n", 1)
         assert printed == answer
         assert sorted({"fractions", "decimal", "numbers"} & set(loaded.split())) == []
 
     def test_library_runs_without_the_tests(self, tmp_path):
         # every exported name and the benchmark's library snippet resolve from src/ alone
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "from bootperc import *; "
             "from bootperc.polymethod import recognized_space_dim_hamming as f; print(f(5, 4, 2))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out == "20\n"
+        assert run_python(code, cwd=tmp_path) == "20\n"
+
+    def test_layer_attribute_of_a_fresh_package(self, tmp_path):
+        # the benchmark's lifted-542 value; the attribute's first use runs polymethod
+        code = "import bootperc; print(bootperc.polymethod.recognized_space_dim_hamming(5, 4, 2))"
+        assert run_python(code, cwd=tmp_path) == "20\n"
+
+
+# the package's public names, by the module that defines them
+PUBLIC_NAMES = {
+    "constructions": ("carved_corner_set", "carved_region", "inner_cut_region", "line_seed",
+                      "simplex_corner_set", "simplex_region", "star_seed_complete",
+                      "star_seed_hamming", "vertex_seed_dim2"),
+    "engine": ("ActivationTrace", "is_percolating", "is_percolating_hamming", "percolate",
+               "seed_from_text", "seed_to_text", "trace_to_jsonable"),
+    "errors": ("FormatError", "PreconditionError", "ResourceLimitError"),
+    "formulas": ("min_seed_complete", "min_seed_hamming_bounds", "min_seed_hamming_dim2",
+                 "min_seed_line_complete", "weak_saturation_hamming"),
+    "graphs": ("Graph", "HammingSpace", "graph_from_text", "graph_to_text", "make_complete",
+               "make_hamming", "make_line_graph"),
+    "oracle": ("SearchResult", "min_percolating"),
+    "polymethod": ("DimReport", "EdgeColoring", "is_proper_coloring", "product_coloring_on",
+                   "recognized_space_dim_hamming", "recognized_space_report"),
+}
+
+
+class TestPackageNames:
+    """The package serves each public name from its layer module on first use."""
+
+    def test_all_lists_the_public_names(self):
+        assert bootperc.__all__ == sorted(n for names in PUBLIC_NAMES.values() for n in names)
+
+    @pytest.mark.parametrize(
+        "home,name", [(home, n) for home, names in PUBLIC_NAMES.items() for n in names]
+    )
+    def test_is_the_layer_object(self, home, name):
+        assert getattr(bootperc, name) is getattr(importlib.import_module(f"bootperc.{home}"), name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from bootperc import *", namespace)
+        assert sorted(set(bootperc.__all__) - namespace.keys()) == []
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            bootperc.no_such_name
+        assert not hasattr(bootperc, "lift_coloring")  # left the package; no stale alias
+
+    def test_dir_lists_the_public_names(self):
+        assert sorted(set(bootperc.__all__) - set(dir(bootperc))) == []

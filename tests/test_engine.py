@@ -135,6 +135,24 @@ class TestLineProcess:
         assert not is_percolating(k3, 2, "star", seed)
 
 
+class TestMalformedEdgeSeeds:
+    """The CSR path refuses a seed element that is neither an edge id nor a pair of ints."""
+
+    @pytest.mark.parametrize("entry", [percolate, is_percolating])
+    @pytest.mark.parametrize("process", ["star", "line"])
+    @pytest.mark.parametrize("element", [(0.0, 1), ("a", 1), (0, 1, 2), None])
+    def test_is_a_precondition_error(self, entry, process, element):
+        with pytest.raises(PreconditionError) as exc:
+            entry(make_complete(4), 1, process, [(0, 1), element])
+        assert str(exc.value) == f"seed edge {element!r} is not a pair of ints"
+
+    @pytest.mark.parametrize("entry", [percolate, is_percolating])
+    @pytest.mark.parametrize("process", ["star", "line"])
+    def test_edge_ids_are_still_accepted(self, entry, process):
+        g = make_complete(4)
+        assert entry(g, 1, process, [g.edge_id(2, 3)]) == entry(g, 1, process, [(3, 2)])
+
+
 class TestUnknownProcess:
     # every entry point names the process; none falls through to another one
     @pytest.mark.parametrize(
