@@ -44,11 +44,9 @@ polymethod = _lazy("polymethod")
 _HOMES = {
     "carved_corner_set": constructions,
     "carved_region": constructions,
-    "inner_cut_region": constructions,
     "line_seed": constructions,
     "simplex_corner_set": constructions,
     "simplex_region": constructions,
-    "star_seed_complete": constructions,
     "star_seed_hamming": constructions,
     "vertex_seed_dim2": constructions,
     "ActivationTrace": engine,

@@ -125,17 +125,6 @@ def simplex_region(n: int, r: int, d: int) -> Region:
     return frozenset(_simplex_points(n, r, d))
 
 
-def inner_cut_region(n: int, r: int, d: int) -> Region:
-    """Points of [0,n)^d with x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1).
-
-    delta = (d-2)/(d-1); empty for d = 2.  Exact integer comparison.
-    Members of the cut are always inside the simplex, so only the
-    simplex is enumerated.
-    """
-    _check_corner_args(n, r, d)
-    return frozenset(filter(_in_cut(r, d), _simplex_points(n, r, d)))
-
-
 def carved_region(n: int, r: int, d: int) -> Region:
     """Simplex region minus the inner cut, from one enumeration of the simplex."""
     _check_corner_args(n, r, d)
@@ -177,21 +166,6 @@ def carved_corner_set(n: int, r: int, d: int) -> frozenset[int]:
     return _corner_union(carved_region(n, r, d), n, d)
 
 
-def star_seed_complete(n: int, r: int) -> frozenset[Edge]:
-    """All edges of the complete graph with both endpoints in {0..r}.
-
-    C(r+1, 2) edges; percolates the star process at threshold r for
-    n >= r+1.
-    """
-    check_threshold(r)
-    if n <= r:
-        raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
-    size = r * (r + 1) // 2
-    if size > _SEED_CAP:
-        raise _too_many_edges("complete-graph star seed", size)
-    return frozenset((i, j) for i in range(r) for j in range(i + 1, r + 1))
-
-
 def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
     """Recursive star-process seed on the Hamming graph of dimension d.
 
@@ -200,7 +174,8 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
     {i*s_1 + tau, j*s_1 + tau}, i < j <= k = r - (t_2+...+t_d), for the
     stride s_1 of the first coordinate.  Total size is C(d+r, d+1),
     checked against the seed cap before any edge is built.  A stack walks
-    the layers, so d is not bounded by the recursion limit.
+    the layers, so d is not bounded by the recursion limit.  For d = 1
+    this is every edge of K_n inside {0..r}.
     """
     check_threshold(r)
     if d < 1:

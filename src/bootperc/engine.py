@@ -22,8 +22,7 @@ the threshold: :func:`percolate` and :func:`is_percolating` on any
 :class:`Graph`, :func:`is_percolating_hamming` on K_n^d.  Any other name
 is a PreconditionError.
 
-Edge seeds may hold (u, v) pairs, in either order, or edge ids
-(positions in ``g.edge_list()``).
+Edge seeds hold (u, v) pairs, in either order.
 
 Two kernels run the processes.  On any :class:`Graph`, all three run on
 one CSR kernel over integer ids: a counter per vertex and a frontier of
@@ -115,19 +114,13 @@ def _not_an_edge(u: int, v: int) -> PreconditionError:
 
 def _edge_ids(g: Graph, r: int, seed: Iterable) -> list[int]:
     check_threshold(r)
-    m = g.edge_count
     out = []
     for e in seed:
-        if isinstance(e, int):
-            if not 0 <= e < m:
-                raise PreconditionError(f"seed edge id {e} not in graph")
-            out.append(e)
-        else:
-            u, v = _edge_pair(e)
-            try:
-                out.append(g.edge_id(u, v))
-            except KeyError:
-                raise _not_an_edge(u, v) from None
+        u, v = _edge_pair(e)
+        try:
+            out.append(g.edge_id(u, v))
+        except KeyError:
+            raise _not_an_edge(u, v) from None
     return out
 
 
@@ -136,7 +129,7 @@ def _closure(
 ) -> tuple[list[int], list[list[int]]]:
     """The kernel: (distinct seed ids, rounds of newly active ids) under ``process``.
 
-    ``seed`` holds vertex ids, or edges as (u, v) pairs or ids; the process
+    ``seed`` holds vertex ids, or edges as (u, v) pairs; the process
     is checked first, then the threshold and the seed.
     """
     check_process(process)

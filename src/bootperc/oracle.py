@@ -435,12 +435,16 @@ def min_percolating(
     ``cap`` bounds the vertices (vertex process) or edges (star and line)
     searched over; None takes DEFAULT_VERTEX_CAP or DEFAULT_EDGE_CAP.
     ``max_engine_calls`` is the budget checked per level; None takes
-    DEFAULT_ENGINE_CALL_BUDGET.
+    DEFAULT_ENGINE_CALL_BUDGET.  A negative ``cap`` or budget is a
+    PreconditionError; 0 is a real bound.
     """
     check_process(process)
     check_threshold(r)
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
+    for name, budget in (("cap", cap), ("max_engine_calls", max_engine_calls)):
+        if budget is not None and budget < 0:
+            raise PreconditionError(f"{name} must be at least 0")
     if process == "vertex":
         size, kind = g.vertex_count, "vertices"
     else:

@@ -93,7 +93,9 @@ def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
     """Color each edge ij with gamma_i*gamma_j; primes by default.
 
     Distinct nonzero generators make incident colors distinct on any
-    graph; with primes all C(n,2) pairwise products are distinct too.
+    graph (gamma_u*gamma_v = gamma_u*gamma_w only if gamma_v = gamma_w),
+    so the coloring is proper; with primes all C(n,2) pairwise products
+    are distinct too.
     """
     if gammas is None:
         gammas = first_primes(g.vertex_count)
@@ -102,11 +104,7 @@ def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
         raise PreconditionError("need one generator per vertex")
     if len(set(gammas)) != len(gammas) or any(x == 0 for x in gammas):
         raise PreconditionError("generators must be distinct and nonzero")
-    colors = {(u, v): gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)}
-    coloring = EdgeColoring(colors)
-    if not is_proper_coloring(g, coloring):
-        raise AssertionError("product coloring failed the properness check")
-    return coloring
+    return EdgeColoring({(u, v): gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)})
 
 
 def _hamming_coloring(space: HammingSpace) -> EdgeColoring:

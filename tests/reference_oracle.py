@@ -4,8 +4,9 @@ candidate in lexicographic order through ``engine.is_percolating``.
 Test-only reference: ``tests/test_reference_oracle.py`` requires the
 bitmask oracle to return the same (minimum, witness, engine_calls) as
 this enumeration, at ``jobs=1`` and ``jobs=2``.  The code below is the
-old ``bootperc.oracle`` unchanged, apart from this docstring and the
-``_TESTS`` table, which now calls the engine's one entry point.
+old ``bootperc.oracle`` unchanged, apart from this docstring, the
+``_TESTS`` table, which now calls the engine's one entry point, and the
+edge searches, which walk (u, v) pairs, the engine's one edge seed form.
 """
 
 from __future__ import annotations
@@ -93,12 +94,10 @@ def _search(
 
 
 def _edge_search(
-    g: Graph, r: int, process: str, mandatory: list[int], max_engine_calls: int, jobs: int
+    g: Graph, r: int, process: str, mandatory: list, max_engine_calls: int, jobs: int
 ) -> SearchResult:
-    """Search over edge ids, whose order is the edges' lexicographic order."""
-    ids = _search(g, r, process, list(range(g.edge_count)), mandatory, max_engine_calls, jobs)
-    witness = tuple((g.tails[e], g.heads[e]) for e in ids.witness)
-    return SearchResult(ids.minimum, witness, ids.engine_calls)
+    """Search over (u, v) pairs in ``edge_list()`` order, which is their sorted order."""
+    return _search(g, r, process, g.edge_list(), mandatory, max_engine_calls, jobs)
 
 
 def min_percolating_vertices(
@@ -142,8 +141,8 @@ def min_percolating_edges_star(
     if g.edge_count > max_edges:
         raise ResourceLimitError(f"{g.edge_count} edges exceed the search cap {max_edges}")
     mandatory = [
-        e
-        for e, (u, v) in enumerate(zip(g.tails, g.heads))
+        (u, v)
+        for u, v in zip(g.tails, g.heads)
         if g.degree(u) - 1 < r and g.degree(v) - 1 < r
     ]
     return _edge_search(g, r, "star", mandatory, max_engine_calls, jobs)
@@ -166,8 +165,8 @@ def min_percolating_edges_line(
     if g.edge_count > max_edges:
         raise ResourceLimitError(f"{g.edge_count} edges exceed the search cap {max_edges}")
     mandatory = [
-        e
-        for e, (u, v) in enumerate(zip(g.tails, g.heads))
+        (u, v)
+        for u, v in zip(g.tails, g.heads)
         if (g.degree(u) - 1) + (g.degree(v) - 1) < r
     ]
     return _edge_search(g, r, "line", mandatory, max_engine_calls, jobs)

@@ -360,17 +360,27 @@ class TestExitCodes:
             "reason": "threshold r must be nonnegative",
         }
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize(
         "argv,reason",
         [
-            (["search", "Kn:5", "--r", "2", "--process", "star"], "jobs must be at least 1"),
-            (["table", "--d", "2", "--rmax", "3"], "--jobs must be at least 1"),
+            pytest.param([*argv, "--jobs", jobs], reason, id=f"{name}-{jobs}")
+            for name, argv, reason in [
+                ("search", ["search", "Kn:5", "--r", "2", "--process", "star"],
+                 "jobs must be at least 1"),
+                ("table", ["table", "--d", "2", "--rmax", "3"], "--jobs must be at least 1"),
+            ]
+            for jobs in ("-3", "0")
+        ]
+        + [
+            # a negative budget is refused, not taken as one that nothing fits
+            pytest.param(["search", "Kn:6", "--r", "4", "--process", "line", "--max-calls", "-5"],
+                         "max_engine_calls must be at least 0", id="max-calls--5"),
+            pytest.param(["search", "Kn:4", "--r", "2", "--process", "line", "--cap", "-1"],
+                         "cap must be at least 0", id="cap--1"),
         ],
-        ids=["search", "table"],
     )
-    def test_jobs_below_one_is_exit_1(self, capsys, argv, reason, jobs):
-        assert main([*argv, "--jobs", jobs]) == 1
+    def test_jobs_below_one_is_exit_1(self, capsys, argv, reason):
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "PreconditionError", "reason": reason}
@@ -650,9 +660,8 @@ class TestStartup:
 
 # the package's public names, by the module that defines them
 PUBLIC_NAMES = {
-    "constructions": ("carved_corner_set", "carved_region", "inner_cut_region", "line_seed",
-                      "simplex_corner_set", "simplex_region", "star_seed_complete",
-                      "star_seed_hamming", "vertex_seed_dim2"),
+    "constructions": ("carved_corner_set", "carved_region", "line_seed", "simplex_corner_set",
+                      "simplex_region", "star_seed_hamming", "vertex_seed_dim2"),
     "engine": ("ActivationTrace", "is_percolating", "is_percolating_hamming", "percolate",
                "seed_from_text", "seed_to_text", "trace_to_jsonable"),
     "errors": ("FormatError", "PreconditionError", "ResourceLimitError"),
@@ -686,7 +695,9 @@ class TestPackageNames:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             bootperc.no_such_name
-        assert not hasattr(bootperc, "lift_coloring")  # left the package; no stale alias
+        # left the package; no stale alias
+        for gone in ("lift_coloring", "star_seed_complete", "inner_cut_region"):
+            assert not hasattr(bootperc, gone)
 
     def test_dir_lists_the_public_names(self):
         assert sorted(set(bootperc.__all__) - set(dir(bootperc))) == []

@@ -15,11 +15,9 @@ from bootperc.constructions import (
     _check_corner_args,
     carved_corner_set,
     carved_region,
-    inner_cut_region,
     line_seed,
     simplex_corner_set,
     simplex_region,
-    star_seed_complete,
     star_seed_hamming,
     vertex_seed_dim2,
 )
@@ -106,12 +104,12 @@ class TestRegions:
 
     def test_cut_is_empty_in_dim2(self):
         for r in range(1, 8):
-            assert inner_cut_region(r + 1, r, 2) == frozenset()
+            assert simplex_region(r + 1, r, 2) == carved_region(r + 1, r, 2)
 
     def test_carved_freeze(self):
         # the cut removes exactly the origin: 0 < 1/2 holds, but for
         # (0,0,1) the comparison is 1/2 < 1/2, which fails
-        assert inner_cut_region(5, 4, 3) == frozenset({(0, 0, 0)})
+        assert simplex_region(5, 4, 3) - carved_region(5, 4, 3) == frozenset({(0, 0, 0)})
         assert carved_region(5, 4, 3) == frozenset(
             {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         )
@@ -119,9 +117,10 @@ class TestRegions:
     def test_exact_boundary_dim4(self):
         # d=4, r=6: delta=2/3, bound=4/3; (0,0,2,0) gives exactly 4/3
         # and must stay out of the cut
-        region = inner_cut_region(7, 6, 4)
-        assert (0, 0, 2, 0) not in region
-        assert (0, 0, 1, 0) in region  # 2/3 < 4/3
+        carved = carved_region(7, 6, 4)
+        assert (0, 0, 2, 0) in carved
+        assert (0, 0, 1, 0) not in carved  # 2/3 < 4/3: in the cut
+        assert (0, 0, 1, 0) in simplex_region(7, 6, 4)
 
     def test_integer_cut_equals_the_rational_cut(self):
         for d in range(2, 9):
@@ -139,12 +138,14 @@ class TestRegions:
                 assert carved_region(r + 1, r, d) <= simplex_region(r + 1, r, d)
 
     def test_carved_is_simplex_minus_cut(self):
+        # the cut in rationals: x_1 + x_2 + delta*(x_3+...+x_d) < delta*(ceil(r/2)-1)
         for d in range(2, 7):
+            delta = Fraction(d - 2, d - 1)
             for r in range(0, 11):
+                bound = delta * (ceil(r / 2) - 1)
                 for n in (r + 1, r + 3):
                     simplex = simplex_region(n, r, d)
-                    cut = inner_cut_region(n, r, d)
-                    assert cut <= simplex
+                    cut = {p for p in simplex if p[0] + p[1] + delta * sum(p[2:]) < bound}
                     assert carved_region(n, r, d) == simplex - cut, (n, r, d)
 
     def test_carved_enumerates_the_simplex_once(self, monkeypatch):
@@ -238,8 +239,7 @@ class TestCornerGuard:
     """Corner constructions count their points before enumerating any."""
 
     @pytest.mark.parametrize(
-        "build", [simplex_region, inner_cut_region, carved_region, simplex_corner_set,
-                  carved_corner_set]
+        "build", [simplex_region, carved_region, simplex_corner_set, carved_corner_set]
     )
     @pytest.mark.parametrize("n,r,d", [(2, 1, 2000), (2, 1, 40), (1, 0, 2000), (2, 1, 10**9)])
     def test_refused_before_enumerating(self, build, n, r, d):
@@ -272,14 +272,15 @@ class TestCornerGuard:
 
 
 class TestStarSeeds:
+    # on K_n = K_n^1 the star seed is the complete-graph seed
     def test_complete_freeze(self):
-        assert star_seed_complete(4, 2) == frozenset({(0, 1), (0, 2), (1, 2)})
-        assert star_seed_complete(5, 1) == frozenset({(0, 1)})
-        assert len(star_seed_complete(5, 4)) == 10
+        assert star_seed_hamming(4, 2, 1) == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert star_seed_hamming(5, 1, 1) == frozenset({(0, 1)})
+        assert len(star_seed_hamming(5, 4, 1)) == 10
 
     def test_complete_rejects(self):
         with pytest.raises(PreconditionError):
-            star_seed_complete(4, 4)
+            star_seed_hamming(4, 4, 1)
 
     def test_hamming_freeze(self):
         assert star_seed_hamming(4, 2, 2) == frozenset(
@@ -287,8 +288,11 @@ class TestStarSeeds:
         )
 
     def test_dim1_is_complete_seed(self):
-        for r in range(1, 5):
-            assert star_seed_hamming(r + 2, r, 1) == star_seed_complete(r + 2, r)
+        # every edge inside {0..r}: C(r+1, 2) edges
+        for n in range(1, 12):
+            for r in range(n):
+                want = {(i, j) for j in range(r + 1) for i in range(j)}
+                assert star_seed_hamming(n, r, 1) == want, (n, r)
 
     def test_dim1_builds_only_its_own_edges(self):
         # C(201, 2) edges, not the C(202, 3) of the seeds for every threshold below
@@ -298,7 +302,7 @@ class TestStarSeeds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seed == star_seed_complete(201, 200)
+        assert seed == {(i, j) for j in range(201) for i in range(j)}
         assert peak < 400 * len(seed)
 
     @pytest.mark.parametrize(
@@ -307,10 +311,9 @@ class TestStarSeeds:
             # each just past the cap, so a seed built before the check stays small
             (lambda: star_seed_hamming(74, 73, 3), "C(76,4)"),  # 1282975 edges
             (lambda: star_seed_hamming(1582, 1581, 1), "C(1582,2)"),  # 1250571 edges
-            (lambda: star_seed_complete(1582, 1581), "1250571"),
             (lambda: line_seed(3200, 3161), "1250571"),
         ],
-        ids=["star", "star-d1", "complete", "line"],
+        ids=["star", "star-d1", "line"],
     )
     def test_edges_are_counted_before_building(self, build, size):
         started = time.perf_counter()

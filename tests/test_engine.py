@@ -97,12 +97,6 @@ class TestStarProcess:
         with pytest.raises(PreconditionError):
             percolate(make_complete(3), 1, "star", [(0, 3)])
 
-    def test_seed_edge_ids_must_exist(self):
-        with pytest.raises(PreconditionError, match="edge id 3"):
-            percolate(make_complete(3), 1, "star", [3])
-        with pytest.raises(PreconditionError, match="edge id -1"):
-            is_percolating(make_complete(3), 1, "line", [-1])
-
 
 class TestLineProcess:
     def test_two_edge_seed_fills_k4(self):
@@ -136,7 +130,7 @@ class TestLineProcess:
 
 
 class TestMalformedEdgeSeeds:
-    """The CSR path refuses a seed element that is neither an edge id nor a pair of ints."""
+    """Edge seeds are (u, v) pairs; any other seed element is a PreconditionError."""
 
     @pytest.mark.parametrize("entry", [percolate, is_percolating])
     @pytest.mark.parametrize("process", ["star", "line"])
@@ -146,11 +140,14 @@ class TestMalformedEdgeSeeds:
             entry(make_complete(4), 1, process, [(0, 1), element])
         assert str(exc.value) == f"seed edge {element!r} is not a pair of ints"
 
-    @pytest.mark.parametrize("entry", [percolate, is_percolating])
+    @pytest.mark.parametrize("entry", [percolate, is_percolating, is_percolating_hamming])
     @pytest.mark.parametrize("process", ["star", "line"])
-    def test_edge_ids_are_still_accepted(self, entry, process):
-        g = make_complete(4)
-        assert entry(g, 1, process, [g.edge_id(2, 3)]) == entry(g, 1, process, [(3, 2)])
+    def test_edge_ids_are_refused(self, entry, process):
+        # 3 is an edge id of K_4; both kernels refuse it with the same error
+        host = HammingSpace(4, 1) if entry is is_percolating_hamming else make_complete(4)
+        with pytest.raises(PreconditionError) as exc:
+            entry(host, 1, process, [(0, 1), 3])
+        assert str(exc.value) == "seed edge 3 is not a pair of ints"
 
 
 class TestUnknownProcess:

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from bootperc import oracle
 from bootperc.constructions import carved_corner_set
 from bootperc.engine import is_percolating
-from bootperc.errors import ResourceLimitError
+from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.formulas import (
+    min_seed_complete,
     min_seed_hamming_bounds,
     min_seed_line_complete,
     weak_saturation_hamming,
@@ -95,6 +96,21 @@ class TestVertexSearch:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             min_percolating(make_hamming(HammingSpace(4, 2)), 3, "vertex", max_engine_calls=100)
+
+    @pytest.mark.parametrize("bound", ["cap", "max_engine_calls"])
+    def test_negative_bounds_are_refused(self, bound):
+        with pytest.raises(PreconditionError, match=f"^{bound} must be at least 0$"):
+            min_percolating(make_complete(4), 2, "vertex", **{bound: -1})
+        # 0 is a real bound, which this search exceeds
+        with pytest.raises(ResourceLimitError):
+            min_percolating(make_complete(4), 2, "vertex", **{bound: 0})
+
+    def test_complete_graphs_match_the_closed_form(self):
+        for n in range(1, 9):
+            for r in range(n + 2):
+                assert min_percolating(make_complete(n), r, "vertex").minimum == (
+                    min_seed_complete(n, r)
+                ), (n, r)
 
 
 class TestHammingDim3:

@@ -116,6 +116,8 @@ def test_closure_is_the_engines_final_set(case):
     rules, _ = oracle._rules(g, r, process)
     mask = oracle._mask(seed)
     closed = oracle._close(rules, mask, mask)
+    if process != "vertex":
+        seed = [(g.tails[e], g.heads[e]) for e in seed]  # the oracle's edge ids as pairs
     final = percolate(g, r, process, seed).final
     if process != "vertex":
         final = {g.edge_id(u, v) for u, v in final}
