@@ -243,70 +243,92 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("simulate", "construct", "verify", "table", "dimw", "search")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, or only ``command``'s when it names one.
+
+    A parser of one subcommand still names all of them in its usage line,
+    so for that command it prints what the full parser prints.
+    """
     parser = argparse.ArgumentParser(
         prog="bootperc",
         description="Bootstrap percolation processes, seed constructions and exact bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a percolation process and print the trace")
-    p.add_argument("graph", help="graph file or family spec (Kn:4, Hamming:4,2, LineK:5)")
-    p.add_argument("--r", type=int, required=True, help="activation threshold")
-    p.add_argument("--seed", required=True, help="seed file (v/e lines)")
-    p.add_argument("--process", choices=PROCESSES, required=True)
-    p.add_argument("--out", help="write the trace JSON here instead of stdout")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("construct", help="emit a percolating-seed construction")
-    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--out", help="write the seed file here instead of stdout")
-    p.set_defaults(fn=cmd_construct)
-
-    p = sub.add_parser("verify", help="construct a seed and check it percolates")
-    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("table", help="CSV of bounds, construction size and exact values")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--n", type=int, help="fixed alphabet size (default: r+1 per row)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("dimw", help="dimension of the recognized edge-function space")
-    p.add_argument("graph", help="graph file or family spec")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument(
-        "--generators",
-        help="comma-separated vertex generators for the product coloring (default: primes)",
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None
     )
-    p.add_argument("--details", action="store_true", help="include matrix dimensions")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_dimw)
 
-    p = sub.add_parser("search", help="exhaustive minimum percolating seed")
-    p.add_argument("graph", help="graph file or family spec")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--process", choices=PROCESSES, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-calls", type=int)
-    p.add_argument("--cap", type=int, help="vertex or edge search cap (default by process)")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_search)
+    def wanted(name: str) -> bool:
+        return not one or name == command
+
+    if wanted("simulate"):
+        p = sub.add_parser("simulate", help="run a percolation process and print the trace")
+        p.add_argument("graph", help="graph file or family spec (Kn:4, Hamming:4,2, LineK:5)")
+        p.add_argument("--r", type=int, required=True, help="activation threshold")
+        p.add_argument("--seed", required=True, help="seed file (v/e lines)")
+        p.add_argument("--process", choices=PROCESSES, required=True)
+        p.add_argument("--out", help="write the trace JSON here instead of stdout")
+        p.set_defaults(fn=cmd_simulate)
+
+    if wanted("construct"):
+        p = sub.add_parser("construct", help="emit a percolating-seed construction")
+        p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--d", type=int)
+        p.add_argument("--out", help="write the seed file here instead of stdout")
+        p.set_defaults(fn=cmd_construct)
+
+    if wanted("verify"):
+        p = sub.add_parser("verify", help="construct a seed and check it percolates")
+        p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--d", type=int)
+        p.set_defaults(fn=cmd_verify)
+
+    if wanted("table"):
+        p = sub.add_parser("table", help="CSV of bounds, construction size and exact values")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--rmax", type=int, required=True)
+        p.add_argument("--n", type=int, help="fixed alphabet size (default: r+1 per row)")
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--out", help="write the CSV here instead of stdout")
+        p.set_defaults(fn=cmd_table)
+
+    if wanted("dimw"):
+        p = sub.add_parser("dimw", help="dimension of the recognized edge-function space")
+        p.add_argument("graph", help="graph file or family spec")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument(
+            "--generators",
+            help="comma-separated vertex generators for the product coloring (default: primes)",
+        )
+        p.add_argument("--details", action="store_true", help="include matrix dimensions")
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_dimw)
+
+    if wanted("search"):
+        p = sub.add_parser("search", help="exhaustive minimum percolating seed")
+        p.add_argument("graph", help="graph file or family spec")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--process", choices=PROCESSES, required=True)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--max-calls", type=int)
+        p.add_argument("--cap", type=int, help="vertex or edge search cap (default by process)")
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_search)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run parses one command: its parser alone is half the cost of all six
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

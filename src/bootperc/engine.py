@@ -40,12 +40,14 @@ touched.
 On the Hamming graph K_n^d, ``is_percolating_hamming`` builds no graph.
 The vertex and star processes run one packed closure: a byte-aligned
 counter field per vertex, all in one int, updated a round at a time by
-shifting the frontier along each axis (see :class:`_Packed`); the star
-process is the vertex closure on the saturated vertices.  The line
-process, on K_n only, keeps one bitmask row per vertex.  Both edge
-processes read the seed in one pass into its one copy, a list of seed
-neighbours per vertex.  Their rounds are the CSR kernel's, and
-:func:`check_packed` bounds their memory and work per round up front.
+summing the frontier along each axis, with shifted copies or, on the
+stride-1 axis while n is small, one multiplication (see :class:`_Packed`);
+it stops once every vertex is active.  The star process is the vertex
+closure on the saturated vertices.  The line process, on K_n only, keeps
+one bitmask row per vertex.  Both edge processes read the seed in one
+pass into its one copy, a list of seed neighbours per vertex.  Their
+rounds are the CSR kernel's, and :func:`check_packed` bounds their memory
+and work per round up front.
 
 Sets of vertices or edge pairs are built only for the
 :class:`ActivationTrace` of :func:`percolate`; ``is_percolating`` and
@@ -227,6 +229,11 @@ def is_percolating(g: Graph, r: int, process: str, seed: Iterable) -> bool:
 _SPARE_INTS = 18
 PACKED_BIT_CAP = 1 << 31  # bits its ints hold at once: 256 MB
 PACKED_WORK_CAP = 1 << 34  # bits its shifts, adds and masks touch in one round
+# The stride-1 axis is summed by multiplying with the repunit of n fields
+# while it spans at most this many bits; past it the shifted copies are
+# faster (60,000 fields: level near 400 bits with one-byte fields, and
+# the multiply slower at 465 bits with two-byte fields).
+_REPUNIT_BITS = 256
 
 
 def _field_bytes(degree: int) -> int:
@@ -241,9 +248,11 @@ def check_packed(space: HammingSpace, process: str) -> None:
     than ``PACKED_BIT_CAP`` bits at once, or one round would shift, add and
     mask more than ``PACKED_WORK_CAP`` bits.  It computes sizes only, so it
     refuses before a seed is enumerated.  The vertex and star processes
-    keep d + 18 ints of n^d fields and run about 8 log2(n) big-int operations
-    per axis and round; the line process keeps n rows and up to n degree
-    masks of n bits, and reads each about three times per round.
+    keep d + 18 ints of n^d fields and run at most about 8 log2(n) big-int
+    operations per axis and round: the shifted copies' count, an upper bound
+    also where the stride-1 axis takes two products with a short repunit
+    instead.  The line process keeps n rows and up to n degree masks of n
+    bits, and reads each about three times per round.
     """
     check_process(process)
     where = f"packed {process} closure on [0,{space.n})^{space.d}"
@@ -274,12 +283,19 @@ def check_packed(space: HammingSpace, process: str) -> None:
 
 
 def _copies(x: int, step: int, count: int, up: bool) -> int:
-    """Sum of x shifted up (or down) by c*step bits for c < count, in O(log count) steps."""
-    total = shift = 0
+    """Sum of x shifted up (or down) by c*step bits for c < count, in O(log count) steps.
+
+    count is at least 1, and the sum starts from x itself: adding to 0 would copy it.
+    """
+    total = None
+    shift = 0
     span = 1  # x is the sum of the first span copies
     while True:
         if count & span:
-            total += x << shift if up else x >> shift
+            if total is None:
+                total = x  # the first term is unshifted: no copy
+            else:
+                total += x << shift if up else x >> shift
             shift += span * step
         if 2 * span > count:
             return total
@@ -302,7 +318,10 @@ class _Packed:
         self.degree = self.d * (n - 1)
         self.width = _field_bytes(self.degree)
         self.top = 8 * self.width - 1
-        self.one = self._repeat(b"\x01" + bytes(self.width - 1), self.size)
+        unit = b"\x01" + bytes(self.width - 1)
+        self.one = self._repeat(unit, self.size)
+        # the n fields of a line on the stride-1 axis, or 0 when too long to pay
+        self.repunit = self._repeat(unit, n) if (n - 1) * 8 * self.width < _REPUNIT_BITS else 0
         # mask i: every bit of the fields whose digit i is 0.  Built from
         # repeated bytes in linear time: the same int as a long division,
         # which is quadratic in CPython.
@@ -340,23 +359,33 @@ class _Packed:
 
         Along each axis the frontier is summed down the line into the
         field whose digit is 0, masked there, and copied back up the line.
+        On the stride-1 axis, whose lines are n adjacent fields, a product
+        with the repunit (a 1 in each of n fields) does each sum at once
+        while the repunit is short: the product's field of digit n-1 holds
+        the line's sum, which is shifted down to digit 0, masked, and times
+        the repunit fills the line.  A frontier's fields are 0 or 1, so no
+        sum carries out of its field.
         """
-        total = 0
+        total = None
         for s, mask in zip(self.strides, self.masks):
             step = 8 * self.width * s
-            down = _copies(frontier, step, self.n, up=False) & mask
-            total += _copies(down, step, self.n, up=True)
+            if s == 1 and self.repunit:
+                line = ((frontier * self.repunit) >> (self.n - 1) * step & mask) * self.repunit
+            else:
+                down = _copies(frontier, step, self.n, up=False) & mask
+                line = _copies(down, step, self.n, up=True)
+            total = line if total is None else total + line
         return total
 
     def rounds(
-        self, r: int, count: int, active: int, frontier: int, correct=lambda frontier: 0
+        self, r: int, count: int, active: int, frontier: int, correct=None
     ) -> Iterator[int]:
-        """Each round's newly active vertices, packed, until none activates.
+        """Each round's newly active vertices, packed, until none activates or none is left.
 
         A vertex activates once its count reaches r.  ``count`` holds the
         counts before ``frontier`` is applied; applying a frontier adds to
-        every vertex its neighbors in it, less ``correct(frontier)``.  With
-        r > D no count reaches r.
+        every vertex its neighbors in it, less ``correct(frontier)`` when
+        given.  With r > D no count reaches r.
         """
         if r > self.degree:
             return
@@ -364,9 +393,11 @@ class _Packed:
         count += self.one * ((1 << self.top) - r)  # a field's top bit: count >= r
         inactive = self.one ^ active
         d = self.d
-        while True:
+        while inactive:
             if frontier:
-                count += self.line_sums(frontier) - d * frontier - correct(frontier)
+                count += self.line_sums(frontier) - d * frontier
+                if correct is not None and (fix := correct(frontier)):
+                    count -= fix
             new = (count & high) >> self.top & inactive
             if not new:
                 return
@@ -376,13 +407,26 @@ class _Packed:
 
 
 def _seed_neighbours(space: HammingSpace, r: int, seed: Iterable) -> dict[int, list[int]]:
-    """The seed's distinct edges, listed at both ends, from one checked pass over ``seed``."""
+    """The seed's distinct edges, listed at both ends, from one checked pass over ``seed``.
+
+    The edge test is ``space.is_edge`` inline: a method call per seed edge
+    cost about a third of the pass.
+    """
     check_threshold(r)
+    n, strides = space.n, space.strides
+    size = n * strides[0]
     others: defaultdict[int, list[int]] = defaultdict(list)
     for e in seed:
         u, v = _edge_pair(e)
-        if not space.is_edge(u, v):
+        if not (0 <= u < size and 0 <= v < size):
             raise _not_an_edge(u, v)
+        for s in strides:  # an edge: every coordinate after the first that differs agrees
+            if u // s % n != v // s % n:
+                if u % s != v % s:
+                    raise _not_an_edge(u, v)
+                break
+        else:
+            raise _not_an_edge(u, v)  # u = v
         others[u].append(v)
         others[v].append(u)
     for x, ys in others.items():

@@ -2,6 +2,7 @@ import concurrent.futures
 import importlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import bootperc
 from bootperc import oracle
-from bootperc.cli import load_graph, main
+from bootperc.cli import COMMANDS, build_parser, load_graph, main
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, graph_to_text, make_complete, make_hamming, HammingSpace
 
@@ -399,6 +400,40 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParserOfOneCommand:
+    """``main`` builds only the named subcommand's parser, and prints what the full one prints."""
+
+    def printed(self, parser, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--help"] for command in COMMANDS]
+        + [
+            ["verify", "--bogus"],  # the subcommand's usage and error
+            ["verify", "--family", "c", "--n", "4", "--r", "3", "--bogus"],  # the top usage
+            ["search", "Kn:4", "--r", "2", "--process", "edge"],
+            ["dimw", "Kn:4", "--r", "3", "extra"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_prints_what_the_full_parser_prints(self, argv, capsys):
+        one = self.printed(build_parser(argv[0]), argv, capsys)
+        assert one == self.printed(build_parser(), argv, capsys)
+
+    def test_usage_names_every_command(self):
+        usage = "usage: bootperc [-h] {simulate,construct,verify,table,dimw,search} ...\n"
+        for command in (None, "-h", "bogus", *COMMANDS):
+            assert build_parser(command).format_usage() == usage
+
+    def test_other_commands_are_not_built(self, capsys):
+        code, printed = self.printed(build_parser("verify"), ["dimw", "Kn:4", "--r", "3"], capsys)
+        assert code == 2
+        assert re.search(r"invalid choice: 'dimw' \(choose from '?verify'?\)$", printed.err)
 
 
 class TestRejectedInput:

@@ -7,11 +7,14 @@ from functools import lru_cache
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bootperc.constructions import carved_corner_set, line_seed, star_seed_hamming
 from bootperc.engine import (
+    _Packed,
+    _copies,
     _packed_closure,
+    _seed_neighbours,
     check_packed,
     is_percolating_hamming,
     percolate,
@@ -155,6 +158,66 @@ def test_any_seed_matches_the_csr_engine(n, d, key, process, density, r):
     assert_same(n, d, r, process, random_seed(rng, process, graph(n, d), density))
 
 
+def test_repunit_cut():
+    # the stride-1 axis is multiplied while its repunit spans under 256 bits:
+    # n <= 32 with one-byte fields, and never with two-byte ones past K_128
+    for n in range(1, 41):
+        assert bool(_Packed(HammingSpace(n, 1)).repunit) == (n <= 32)
+    assert not _Packed(HammingSpace(130, 1)).repunit
+
+
+# both sides of the repunit cut, and n = 2, whose lines are single steps
+CUT_SIDES = (2, 3, 9, 12, 16, 20, 31, 33, 40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(CUT_SIDES),
+    st.integers(1, 3),
+    st.sampled_from(["vertex", "star"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0, 0.3),
+    st.integers(0, 2**16),
+)
+@example(n=31, d=2, process="vertex", key=1, density=0.05, pick=0)  # r = 0
+@example(n=33, d=1, process="star", key=2, density=0.2, pick=0)
+@example(n=9, d=3, process="vertex", key=3, density=0.1, pick=26)  # r = degree + 2
+@example(n=40, d=1, process="star", key=4, density=0.3, pick=41)
+def test_rounds_on_both_sides_of_the_repunit_cut(n, d, process, key, density, pick):
+    while n**d > 1200:
+        d -= 1
+    r = pick % (d * (n - 1) + 3)  # 0 up to two past the degree
+    rng = random.Random(key)
+    assert_same(n, d, r, process, random_seed(rng, process, graph(n, d), density))
+
+
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+def test_copies_is_the_sum_of_shifted_copies(up):
+    # as in the kernel: byte fields of 0 or 1, shifted by whole fields, so
+    # no sum of up to 40 copies carries out of a field
+    rng = random.Random(7)
+    for count in range(1, 41):
+        x = int.from_bytes(bytes(rng.getrandbits(1) for _ in range(300)), "little")
+        step = 8 * rng.randrange(1, 4)
+        naive = sum(x << c * step if up else x >> c * step for c in range(count))
+        assert _copies(x, step, count, up) == naive
+
+
+def test_no_round_after_every_vertex_is_active(monkeypatch):
+    # the seed's sums and each round's but the last, which leaves no vertex inactive
+    calls = []
+    line_sums = _Packed.line_sums
+    monkeypatch.setattr(
+        _Packed, "line_sums", lambda self, frontier: calls.append(1) or line_sums(self, frontier)
+    )
+    seed = carved_corner_set(6, 5, 3)
+    p, start, rounds = _packed_closure(HammingSpace(6, 3), 5, "vertex", seed)
+    rounds = list(rounds)
+    assert len(start) + sum(new.bit_count() for new in rounds) == p.size
+    assert len(rounds) > 1
+    assert len(calls) == len(rounds)
+
+
 @pytest.mark.parametrize("process", ["vertex", "star", "line"])
 def test_threshold_past_every_field(process):
     # r far above the degree, and above what a one-byte field could hold
@@ -227,6 +290,18 @@ class TestSeedValidation:
     def test_pair_that_is_not_an_edge(self, n, d, process, pair):
         got = self.messages(n, d, 1, process, [(0, 1), pair])
         assert got == (f"seed edge {tuple(sorted(pair))} not in graph",) * 2
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (3, 2), (4, 1), (3, 3)])
+    def test_edge_test_is_is_edge(self, n, d):
+        # the seed pass tests adjacency inline; it must agree with HammingSpace.is_edge
+        space = HammingSpace(n, d)
+        for u in range(-1, space.size + 1):
+            for v in range(-1, space.size + 1):
+                if space.is_edge(u, v):
+                    assert _seed_neighbours(space, 1, [(u, v)]) == {u: [v], v: [u]}
+                else:
+                    with pytest.raises(PreconditionError, match="not in graph"):
+                        _seed_neighbours(space, 1, [(u, v)])
 
     @pytest.mark.parametrize("vertex", [0.0, "a", (0, 1)])
     def test_vertex_that_is_not_an_int(self, vertex):
