@@ -74,7 +74,6 @@ _HOMES = {
     "SearchResult": oracle,
     "min_percolating": oracle,
     "DimReport": polymethod,
-    "EdgeColoring": polymethod,
     "is_proper_coloring": polymethod,
     "product_coloring_on": polymethod,
     "recognized_space_dim_hamming": polymethod,

@@ -409,8 +409,10 @@ class _Packed:
 def _seed_neighbours(space: HammingSpace, r: int, seed: Iterable) -> dict[int, list[int]]:
     """The seed's distinct edges, listed at both ends, from one checked pass over ``seed``.
 
-    The edge test is ``space.is_edge`` inline: a method call per seed edge
-    cost about a third of the pass.
+    A pair is an edge iff both ends are vertices of ``space`` that differ
+    in exactly one coordinate.  The test is inline, and the only one on
+    :class:`HammingSpace`: a method call per seed edge cost about a third
+    of the pass.
     """
     check_threshold(r)
     n, strides = space.n, space.strides

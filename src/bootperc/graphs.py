@@ -8,8 +8,8 @@ A Hamming graph on alphabet size n and dimension d encodes the point
 (x_1, ..., x_d) as x_1*n^(d-1) + ... + x_d, i.e. x_1 is the most
 significant coordinate, as in the Cartesian product of d copies of K_n
 with the first factor major.  :class:`HammingSpace` holds that geometry
-for every layer: the codec, the strides n^(d-1-i), the edge test and the
-bound on n^d.  The complete graph K_n is the Hamming graph of [0,n)^1.
+for every layer: the codec, the strides n^(d-1-i) and the bound on n^d.
+The complete graph K_n is the Hamming graph of [0,n)^1.
 
 A graph is stored once, as compressed sparse rows (CSR) of 32-bit
 integers: the neighbors of v are ``targets[offsets[v]:offsets[v+1]]``,
@@ -213,8 +213,8 @@ class Graph:
 class HammingSpace:
     """The points of [0,n)^d and the geometry of K_n^d; read-only and hashable.
 
-    The codec, the strides, the edge test and the bound on n^d that every
-    layer reads; read the strides once n^d is bounded.  n = 1 is one vertex.
+    The codec, the strides and the bound on n^d that every layer reads;
+    read the strides once n^d is bounded.  n = 1 is one vertex.
     """
 
     n: int
@@ -258,16 +258,6 @@ class HammingSpace:
                 if size > cap:
                     break
         return size
-
-    def is_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are vertices that differ in exactly one coordinate."""
-        n, strides = self.n, self.strides
-        if not (0 <= u < n * strides[0] and 0 <= v < n * strides[0]):
-            return False
-        for s in strides:  # most significant first
-            if u // s % n != v // s % n:
-                return u % s == v % s  # every later coordinate agrees
-        return False
 
     def encode(self, point: tuple[int, ...]) -> int:
         if len(point) != self.d:

@@ -97,7 +97,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, combinations, islice
 from operator import and_, or_
 from math import comb
 from typing import NamedTuple
@@ -257,21 +257,6 @@ def _lanes(tables: list[list[int]], n: int, m: int, t: int) -> list[int]:
     return [x >> shift for x in top[len(top) - m :]]
 
 
-def _unrank(m: int, t: int, c: int) -> tuple[int, ...]:
-    """The c-th t-subset of range(m) in lexicographic order."""
-    out = []
-    for y in range(m):
-        if not t:
-            break
-        first = comb(m - y - 1, t - 1)  # the subsets, from here on, that pick y
-        if c < first:
-            out.append(y)
-            t -= 1
-        else:
-            c -= first
-    return tuple(out)
-
-
 def _leaf(
     rules: _Rules, bits: list[int], state: int, i: int, need: int, prefix: tuple[int, ...]
 ) -> tuple[tuple[int, ...] | None, int]:
@@ -334,7 +319,7 @@ def _leaf(
     if not hit:
         return None, count
     c = (hit & -hit).bit_length() - 1
-    return prefix + tuple(i + y for y in _unrank(m, need, c)), c + 1
+    return prefix + next(islice(combinations(range(i, len(bits)), need), c, None)), c + 1
 
 
 def _walk(

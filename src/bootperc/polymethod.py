@@ -15,8 +15,10 @@ each vertex contributes a Vandermonde block on the distinct colors of
 its edges (proof in ``recognized_space_report``).  So the whole report
 is one exact integer rank, of C, computed by ``bootperc.linalg``.
 
-Colorings here are product-form: vertex generators gamma_i are primes
-and c(ij) = gamma_i * gamma_j.  Primes make every needed distinctness
+A coloring is a sequence indexed by the graph's edge ids: ``colors[e]``
+colors the edge (``g.tails[e]``, ``g.heads[e]``).  Colorings here are
+product-form: vertex generators gamma_i are primes and
+c(ij) = gamma_i * gamma_j.  Primes make every needed distinctness
 property certain (unique factorization) instead of probabilistic.  On
 K_n^d the coloring is lifted coordinate by coordinate: each coordinate
 colors its edges from n primes of its own, larger than those of the
@@ -29,10 +31,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
-from bootperc.graphs import Edge, Graph, HammingSpace, make_hamming, normalize_edge
+from bootperc.graphs import Graph, HammingSpace, make_hamming
 from bootperc.linalg import mat_rank
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 
@@ -65,22 +68,10 @@ def first_primes(k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # colorings
 
-class EdgeColoring(NamedTuple):
-    """Edge -> rational color map."""
-
-    colors: dict[Edge, Fraction | int]
-
-    def color(self, u: int, v: int) -> Fraction | int:
-        e = normalize_edge(u, v)
-        try:
-            return self.colors[e]
-        except KeyError:
-            raise PreconditionError(f"coloring does not cover edge {e}") from None
-
-
-def is_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
-    """True iff incident edges always receive distinct colors."""
-    colors = [coloring.color(u, v) for u, v in zip(g.tails, g.heads)]  # by edge id
+def is_proper_coloring(g: Graph, colors: Sequence[Fraction | int]) -> bool:
+    """True iff there is one color per edge id and incident edges get distinct colors."""
+    if len(colors) != g.edge_count:
+        return False
     offsets, slot_edges = g.offsets, g.slot_edges
     for v in range(g.vertex_count):
         row = slot_edges[offsets[v] : offsets[v + 1]]
@@ -89,7 +80,7 @@ def is_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
     return True
 
 
-def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
+def product_coloring_on(g: Graph, gammas=None) -> list[Fraction | int]:
     """Color each edge ij with gamma_i*gamma_j; primes by default.
 
     Distinct nonzero generators make incident colors distinct on any
@@ -104,28 +95,26 @@ def product_coloring_on(g: Graph, gammas=None) -> EdgeColoring:
         raise PreconditionError("need one generator per vertex")
     if len(set(gammas)) != len(gammas) or any(x == 0 for x in gammas):
         raise PreconditionError("generators must be distinct and nonzero")
-    return EdgeColoring({(u, v): gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)})
+    return [gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)]
 
 
-def _hamming_coloring(space: HammingSpace) -> EdgeColoring:
-    """The prime coloring of K_n^d lifted coordinate by coordinate, read off the strides.
+def _hamming_coloring(g: Graph, space: HammingSpace) -> list[int]:
+    """The prime coloring of K_n^d lifted coordinate by coordinate, for g = make_hamming(space).
 
     Coordinate i, most significant first, owns the primes P[i*n : (i+1)*n]
     of P = ``first_primes(d*n)``.  An edge whose coordinate i changes from
     digit a to digit b gets P[i*n+a] * P[i*n+b]: the product coloring of
     K_n on coordinate 0, and on each later coordinate n primes larger than
-    every prime already in use.
+    every prime already in use.  The changed coordinate of edge uv is the
+    first whose stride divides v - u = (b - a) * stride, as 0 < b - a < n.
     """
     n, strides = space.n, space.strides
     primes = first_primes(len(strides) * n)
-    colors: dict[Edge, Fraction | int] = {}
-    for i, s in enumerate(strides):
-        gammas = primes[i * n : (i + 1) * n]
-        for u in range(n * strides[0]):
-            a = u // s % n
-            for b in range(a + 1, n):
-                colors[(u, u + (b - a) * s)] = gammas[a] * gammas[b]
-    return EdgeColoring(colors)
+    colors = []
+    for u, v in zip(g.tails, g.heads):
+        i, s = next((i, s) for i, s in enumerate(strides) if (v - u) % s == 0)
+        colors.append(primes[i * n + u // s % n] * primes[i * n + v // s % n])
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +152,7 @@ def _check_cost(vertices: int, edges: int, r: int, cost_cap: int) -> None:
         )
 
 
-def _constraint_rows(g: Graph, coloring: EdgeColoring, r: int) -> list[dict[int, int]]:
+def _constraint_rows(g: Graph, colors: Sequence[Fraction | int], r: int) -> list[dict[int, int]]:
     """C as sparse integer rows: P_u(c) - P_v(c) for each edge uv, by edge id.
 
     Column k*|V| + u holds the coefficient of x^k in P_u.  A color a/b
@@ -176,8 +165,7 @@ def _constraint_rows(g: Graph, coloring: EdgeColoring, r: int) -> list[dict[int,
     """
     n = g.vertex_count
     rows = []
-    for u, v in zip(g.tails, g.heads):
-        lam = coloring.colors[(u, v)]
+    for u, v, lam in zip(g.tails, g.heads, colors):
         a, b = lam.numerator, lam.denominator
         row = {}
         for k in range(r):
@@ -189,7 +177,7 @@ def _constraint_rows(g: Graph, coloring: EdgeColoring, r: int) -> list[dict[int,
 
 
 def recognized_space_report(
-    g: Graph, coloring: EdgeColoring, r: int, cost_cap: int = DEFAULT_COST_CAP
+    g: Graph, colors: Sequence[Fraction | int], r: int, cost_cap: int = DEFAULT_COST_CAP
 ) -> DimReport:
     """Dimension of the recognized edge-function space, with rank details.
 
@@ -219,12 +207,12 @@ def recognized_space_report(
     if r <= 0:
         return DimReport(0, 0, 0, 0)
     _check_cost(g.vertex_count, g.edge_count, r, cost_cap)
-    if not is_proper_coloring(g, coloring):
+    if not is_proper_coloring(g, colors):
         raise PreconditionError("coloring is not proper")
     ncols = g.vertex_count * r
     offsets = g.offsets
     stacked_rank = sum(min(offsets[v + 1] - offsets[v], r) for v in range(g.vertex_count))
-    rank = mat_rank(_constraint_rows(g, coloring, r))
+    rank = mat_rank(_constraint_rows(g, colors, r))
     return DimReport(stacked_rank - rank, g.edge_count, ncols, ncols - rank)
 
 
@@ -246,4 +234,4 @@ def recognized_space_dim_hamming(
     size = space.capped_size(cost_cap)
     _check_cost(size, size * d * (n - 1) // 2, r, cost_cap)
     g = make_hamming(space)
-    return recognized_space_report(g, _hamming_coloring(space), r, cost_cap).dim
+    return recognized_space_report(g, _hamming_coloring(g, space), r, cost_cap).dim

@@ -6,7 +6,7 @@ closed form.  This module builds both the way the paper states them: d-1
 Cartesian products with K_n, the product vertex (g, h) at index
 g*|V(H)| + h, and a coloring lifted once per product with n fresh primes
 larger than every prime factor already in use.  The tests require equal
-graphs and equal color maps, and check the paper's lift inequality on
+graphs and equal colorings, and check the paper's lift inequality on
 the lifts built here.
 """
 
@@ -21,7 +21,6 @@ from operator import add
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Edge, Graph, _check_slots, _INT, _offsets, make_complete
 from bootperc.polymethod import (
-    EdgeColoring,
     _is_prime,
     is_proper_coloring,
     product_coloring_on,
@@ -84,14 +83,17 @@ def max_prime_factor(value: Fraction | int) -> int:
     return best
 
 
-def product_coloring(n: int) -> EdgeColoring:
+Coloring = list[Fraction | int]  # colors[e] colors edge e
+
+
+def product_coloring(n: int) -> Coloring:
     """Prime product coloring of the complete graph on n vertices."""
     if n < 2:
         raise PreconditionError("product coloring needs n >= 2")
     return product_coloring_on(make_complete(n))
 
 
-def lift_coloring(g: Graph, coloring: EdgeColoring, n: int) -> EdgeColoring:
+def lift_coloring(g: Graph, coloring: Coloring, n: int) -> Coloring:
     """Extend a proper coloring of g to the Cartesian product with K_n.
 
     Copy edges keep their color; the edge between fibers j and k over a
@@ -103,26 +105,27 @@ def lift_coloring(g: Graph, coloring: EdgeColoring, n: int) -> EdgeColoring:
         raise PreconditionError("lift needs n >= 1")
     if not is_proper_coloring(g, coloring):
         raise PreconditionError("input coloring is not proper")
+    base = dict(zip(g.edge_list(), coloring))
     limit = 1
-    for value in coloring.colors.values():
+    for value in base.values():
         limit = max(limit, max_prime_factor(value))
     gammas = primes_above(limit, n)
     colors: dict[Edge, Fraction | int] = {}
     for a, b in zip(g.tails, g.heads):
         for j in range(n):
-            colors[(a * n + j, b * n + j)] = coloring.colors[(a, b)]
+            colors[(a * n + j, b * n + j)] = base[(a, b)]
     for i in range(g.vertex_count):
         for j in range(n):
             for k in range(j + 1, n):
                 colors[(i * n + j, i * n + k)] = gammas[j] * gammas[k]
-    lifted = EdgeColoring(colors)
     product = cartesian_product(g, make_complete(n))
+    lifted = [colors[e] for e in product.edge_list()]
     if not is_proper_coloring(product, lifted):
         raise AssertionError("lifted coloring failed the properness check")
     return lifted
 
 
-def iterated_lift(n: int, d: int) -> tuple[Graph, EdgeColoring]:
+def iterated_lift(n: int, d: int) -> tuple[Graph, Coloring]:
     """K_n^d as d-1 products with K_n, with the prime coloring of K_n lifted along them."""
     g, coloring = make_complete(n), product_coloring(n)
     for _ in range(d - 1):
@@ -131,5 +134,5 @@ def iterated_lift(n: int, d: int) -> tuple[Graph, EdgeColoring]:
     return g, coloring
 
 
-def recognized_space_dim(g: Graph, coloring: EdgeColoring, r: int) -> int:
+def recognized_space_dim(g: Graph, coloring: Coloring, r: int) -> int:
     return recognized_space_report(g, coloring, r).dim

@@ -13,10 +13,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from bootperc.graphs import Graph
-from bootperc.polymethod import DimReport, EdgeColoring
+from bootperc.polymethod import DimReport
 
 Row = list[Fraction]
 Matrix = list[Row]
+Coloring = Sequence[Fraction | int]  # colors[e] colors edge e
 
 
 def _copy(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
@@ -114,7 +115,7 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]
 
 
 def _edge_generators(
-    g: Graph, coloring: EdgeColoring, r: int
+    g: Graph, coloring: Coloring, r: int
 ) -> tuple[list[list[Fraction]], int, int]:
     """Spanning vectors of the recognized space plus constraint-matrix shape.
 
@@ -123,10 +124,11 @@ def _edge_generators(
     row per kernel basis vector.
     """
     edges = g.edge_list()
+    colors = dict(zip(edges, coloring))
     ncols = g.vertex_count * r
     powers = []  # by edge id
     for e in edges:
-        lam = coloring.colors[e]
+        lam = colors[e]
         row = [Fraction(1)]
         for _ in range(r - 1):
             row.append(row[-1] * lam)
@@ -150,7 +152,7 @@ def _edge_generators(
     return image, len(constraint), ncols
 
 
-def recognized_space_report(g: Graph, coloring: EdgeColoring, r: int) -> DimReport:
+def recognized_space_report(g: Graph, coloring: Coloring, r: int) -> DimReport:
     """The old two-stage report: kernel basis, then the rank of its image.
 
     The coloring is assumed proper; callers check it.

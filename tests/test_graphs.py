@@ -121,11 +121,15 @@ class TestHammingSpace:
         ids=str,
     )
     def test_edge_test_matches_the_graph(self, n, d):
+        # the graph's edge test on every pair in [-1, n^d], against the coordinates
         sp = HammingSpace(n, d)
         g = make_hamming(sp)
+        points = [sp.decode(u) for u in range(sp.size)]
         for u in range(-1, sp.size + 1):
             for v in range(-1, sp.size + 1):
-                assert sp.is_edge(u, v) == g.has_edge(u, v), (u, v)
+                inside = 0 <= u < sp.size and 0 <= v < sp.size
+                one = inside and sum(a != b for a, b in zip(points[u], points[v])) == 1
+                assert g.has_edge(u, v) == one, (u, v)
 
     def test_strides(self):
         assert HammingSpace(3, 4).strides == (27, 9, 3, 1)

@@ -10,7 +10,6 @@ from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.graphs import HammingSpace, make_complete, make_hamming
 from bootperc.linalg import mat_rank
 from bootperc.polymethod import (
-    EdgeColoring,
     _hamming_coloring,
     first_primes,
     is_proper_coloring,
@@ -41,20 +40,19 @@ class TestPrimes:
 class TestProductColoring:
     def test_frozen_triangle(self):
         c = product_coloring(3)
-        assert c.colors == {(0, 1): 6, (0, 2): 10, (1, 2): 15}  # 2*3, 2*5, 3*5
+        assert c == [6, 10, 15]  # edges (0,1), (0,2), (1,2): 2*3, 2*5, 3*5
 
     def test_single_edge(self):
         c = product_coloring(2)
-        assert c.colors == {(0, 1): 6}
+        assert c == [6]
 
     def test_all_products_distinct(self):
         c = product_coloring(6)
-        assert len(set(c.colors.values())) == 15
+        assert len(set(c)) == 15
 
     def test_properness_checker_catches_clash(self):
         g = make_complete(3)
-        bad = EdgeColoring({(0, 1): 4, (0, 2): 4, (1, 2): 9})
-        assert not is_proper_coloring(g, bad)
+        assert not is_proper_coloring(g, [4, 4, 9])  # (0,1) and (0,2) clash
         assert is_proper_coloring(g, product_coloring(3))
 
     def test_rejects_repeated_generators(self):
@@ -70,16 +68,17 @@ class TestLiftColoring:
         lifted = lift_coloring(k3, product_coloring(3), 2)
         # fiber edges over base vertex i connect (i,0)-(i,1), i.e. 2i and 2i+1;
         # they get 7*11 from the two primes above the base's largest, 5
-        assert [lifted.colors[(2 * i, 2 * i + 1)] for i in range(3)] == [77] * 3
+        g = cartesian_product(k3, make_complete(2))
+        assert [lifted[g.edge_id(2 * i, 2 * i + 1)] for i in range(3)] == [77] * 3
         assert 77 not in {6, 10, 15}
         # copy edges keep their base color: base edge (0,1) in fiber 0 is (0,2)
-        assert lifted.colors[(0, 2)] == 6
+        assert lifted[g.edge_id(0, 2)] == 6
 
     def test_lift_over_k1_keeps_colors(self):
         k4 = make_complete(4)
         base = product_coloring(4)
         lifted = lift_coloring(k4, base, 1)
-        assert lifted.colors == base.colors
+        assert lifted == base
 
     def test_iterated_lift_stays_proper(self):
         g = make_complete(3)
@@ -90,13 +89,13 @@ class TestLiftColoring:
         # exhaustive: incident edges really get distinct colors
         for v in range(g.vertex_count):
             row = g.targets[g.offsets[v] : g.offsets[v + 1]]
-            seen = [coloring.colors[tuple(sorted((v, w)))] for w in row]
+            seen = [coloring[g.edge_id(v, w)] for w in row]
             assert len(seen) == len(set(seen))
 
     def test_rejects_improper_input(self):
         g = make_complete(3)
         with pytest.raises(PreconditionError):
-            lift_coloring(g, EdgeColoring({(0, 1): 4, (0, 2): 4, (1, 2): 9}), 2)
+            lift_coloring(g, [4, 4, 9], 2)
 
 
 class TestRecognizedSpaceDim:
@@ -125,9 +124,10 @@ class TestRecognizedSpaceDim:
             recognized_space_report(g, c, 3, cost_cap=6 * 12**2 - 1)
 
     def test_rejects_improper_coloring(self):
-        bad = EdgeColoring({(0, 1): 4, (0, 2): 4, (1, 2): 9})
-        with pytest.raises(PreconditionError):
-            recognized_space_dim(make_complete(3), bad, 2)
+        # a clash, a color list one short and one long: one color per edge id
+        for bad in ([4, 4, 9], [6, 10], [6, 10, 15, 21]):
+            with pytest.raises(PreconditionError, match="^coloring is not proper$"):
+                recognized_space_report(make_complete(3), bad, 2)
 
     def test_nonprime_generators_reach_the_same_dimension(self):
         # any distinct nonzero generators support the full witness family
@@ -150,13 +150,15 @@ class TestLiftInequality:
 
 class TestHammingColoring:
     @pytest.mark.parametrize(
-        "n,d", [(n, d) for n in range(2, 6) for d in range(1, 5) if n**d <= 700], ids=str
+        "n,d", [(n, d) for n in range(2, 7) for d in range(1, 5) if n**d <= 1500], ids=str
     )
     def test_matches_the_iterated_lift(self, n, d):
-        g, lifted = iterated_lift(n, d)
+        g, lifted = iterated_lift(n, d)  # colors in g.edge_list() order
         space = HammingSpace(n, d)
         assert g == make_hamming(space)
-        assert _hamming_coloring(space).colors == lifted.colors
+        assert _hamming_coloring(g, space) == lifted
+        if d == 1:
+            assert lifted == product_coloring_on(make_complete(n))
 
 
 class TestHammingDimension:

@@ -1,14 +1,12 @@
 """The result records and the graph classes: equality, read-only fields and repr."""
 
-from fractions import Fraction
-
 import pytest
 
 from bootperc.engine import ActivationTrace, percolate
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming
 from bootperc.oracle import SearchResult
-from bootperc.polymethod import DimReport, EdgeColoring
+from bootperc.polymethod import DimReport
 
 # each record class with a builder of fresh instances and its fields in order
 RECORDS = {
@@ -17,10 +15,6 @@ RECORDS = {
         ("seed", "rounds", "final"),
     ),
     "SearchResult": (lambda: SearchResult(2, (0, 3), 17), ("minimum", "witness", "engine_calls")),
-    "EdgeColoring": (
-        lambda: EdgeColoring({(0, 1): 6, (0, 2): Fraction(1, 2)}),
-        ("colors",),
-    ),
     "DimReport": (
         lambda: DimReport(6, 6, 12, 6),
         ("dim", "constraint_rows", "constraint_cols", "kernel_dim"),

@@ -44,8 +44,7 @@ def stacked_constraints_and_evaluations(g, coloring, r):
     """Dense [C;E]: rows P_u(c) - P_v(c), then rows P_u(c), one of each per edge."""
     ncols = g.vertex_count * r
     constraints, evaluations = [], []
-    for u, v in g.edge_list():
-        lam = Fraction(coloring.colors[(u, v)])
+    for (u, v), lam in zip(g.edge_list(), map(Fraction, coloring)):
         c_row, e_row = [Fraction(0)] * ncols, [Fraction(0)] * ncols
         for k in range(r):
             c_row[u * r + k] += lam**k
