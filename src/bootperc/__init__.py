@@ -59,7 +59,6 @@ _HOMES = {
     "FormatError": errors,
     "PreconditionError": errors,
     "ResourceLimitError": errors,
-    "min_seed_complete": formulas,
     "min_seed_hamming_bounds": formulas,
     "min_seed_hamming_dim2": formulas,
     "min_seed_line_complete": formulas,
@@ -67,7 +66,6 @@ _HOMES = {
     "Graph": graphs,
     "HammingSpace": graphs,
     "graph_from_text": graphs,
-    "graph_to_text": graphs,
     "make_complete": graphs,
     "make_hamming": graphs,
     "make_line_graph": graphs,

@@ -19,6 +19,7 @@ from itertools import combinations, filterfalse
 from math import comb
 from typing import Iterator
 
+from bootperc import formulas
 from bootperc.errors import PreconditionError, ResourceLimitError, check_threshold
 from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, HammingSpace
 
@@ -201,37 +202,25 @@ def star_seed_hamming(n: int, r: int, d: int) -> frozenset[Edge]:
 
 
 def line_seed(n: int, r: int) -> frozenset[Edge]:
-    """Seed for the line process on the complete graph, size floor((r+2)^2/8).
+    """Seed for the line process on the complete graph, of minimum size.
 
     Vertex i < ceil(r/2) is joined to the last ceil(r/2)-i vertices
     {n-1, ..., n-(ceil(r/2)-i)}; for even r the pairs
-    (n-3+2j-r/2, n-2+2j-r/2), j = 1..ceil(r/4), are added.  Simplicity
-    is guaranteed by n >= ceil(r/2)+2 and asserted.  The size is checked
-    against the seed cap before any edge is built.
+    (u, u+1), u = n-1-r/2, n+1-r/2, ... < n-1, are added; n >= ceil(r/2)+2
+    keeps each pair in [0, n), smaller end first.  The size, read from
+    :func:`~bootperc.formulas.min_seed_line_complete`, is checked against
+    the seed cap before any edge is built, and against the built seed.
     """
     check_threshold(r)
     h = -(-r // 2)
     if n < h + 2:
         raise PreconditionError(f"need n >= ceil(r/2)+2, got n={n}, r={r}")
-    size = (r + 2) ** 2 // 8
+    size = formulas.min_seed_line_complete(n, r)
     if size > _SEED_CAP:
         raise _too_many_edges("line seed", size)
-    edges: set[Edge] = set()
-
-    def add(u: int, v: int) -> None:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise AssertionError(f"invalid edge ({u},{v}) in line seed")
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            raise AssertionError(f"duplicate edge {e} in line seed")
-        edges.add(e)
-
-    for i in range(h):
-        for j in range(1, h - i + 1):
-            add(i, n - j)
+    edges = {(i, n - j) for i in range(h) for j in range(1, h - i + 1)}
     if r % 2 == 0:
-        for j in range(1, -(-r // 4) + 1):
-            add(n - 3 + 2 * j - r // 2, n - 2 + 2 * j - r // 2)
+        edges |= {(u, u + 1) for u in range(n - 1 - r // 2, n - 1, 2)}
     if len(edges) != size:
         raise AssertionError("line seed size disagrees with its closed form")
     return frozenset(edges)

@@ -14,13 +14,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def min_seed_complete(n: int, r: int) -> int:
-    """Minimum percolating vertex seed size on the complete graph: min(n, r)."""
-    if n < 1 or r < 0:
-        raise PreconditionError("need n >= 1 and r >= 0")
-    return min(n, r)
-
-
 def min_seed_hamming_dim2(n: int, r: int) -> int:
     """Minimum percolating vertex seed size on the 2-dimensional Hamming graph.
 
@@ -63,8 +56,10 @@ def min_seed_line_complete(n: int, r: int) -> int:
 def min_seed_hamming_bounds(n: int, r: int, d: int) -> tuple[Fraction, Fraction]:
     """Exact sandwich bounds for the minimum vertex seed on the Hamming graph.
 
-    lower = C(d+r, d+1)/r, upper = ((r+2d-1)^d - delta^2 (r-2)^d)/(2 d!)
-    with delta = (d-2)/(d-1).  Valid for n >= r+1, d >= 2, r >= 1.
+    lower = wsat/r, the paper's argument, with wsat = C(d+r, d+1) read
+    from :func:`weak_saturation_hamming`; upper = ((r+2d-1)^d - delta^2
+    (r-2)^d)/(2 d!) with delta = (d-2)/(d-1).  Valid for n >= r+1,
+    d >= 2, r >= 1.
     """
     if d < 2 or r < 1:
         raise PreconditionError("need d >= 2 and r >= 1")
@@ -73,7 +68,7 @@ def min_seed_hamming_bounds(n: int, r: int, d: int) -> tuple[Fraction, Fraction]
     from fractions import Fraction
 
     delta = Fraction(d - 2, d - 1)
-    lower = Fraction(comb(d + r, d + 1), r)
+    lower = Fraction(weak_saturation_hamming(n, r, d), r)
     upper = Fraction((r + 2 * d - 1) ** d - delta**2 * (r - 2) ** d, 2 * factorial(d))
     assert lower <= upper
     return lower, upper

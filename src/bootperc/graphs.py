@@ -353,19 +353,11 @@ def make_line_graph(g: Graph) -> Graph:
     return Graph(g.edge_count, _offsets(line_degrees), targets)
 
 
-def graph_to_text(g: Graph) -> str:
-    """Serialize as "p <n> <m>" followed by "e <u> <v>" lines, u < v, sorted."""
-    lines = [f"p {g.vertex_count} {g.edge_count}"]
-    for u, v in zip(g.tails, g.heads):
-        lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
-
-
 def graph_from_text(text: str) -> Graph:
-    """Parse the format written by :func:`graph_to_text`.
+    """Parse "p <vertices> <edges>", then one "e <u> <v>" line per edge, in any order.
 
-    The size the p line declares passes the slot guard before any edge
-    is stored.
+    Blank and "#" lines are skipped.  The size the p line declares
+    passes the slot guard before any edge is stored.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []

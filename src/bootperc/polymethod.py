@@ -222,14 +222,14 @@ def recognized_space_dim_hamming(
     """Recognized-space dimension on the Hamming graph with the lifted coloring.
 
     Builds K_n^d with ``make_hamming`` and colors it with
-    ``_hamming_coloring``; for n >= r+1 the result equals C(d+r, d+1).
-    The cost guard is checked from (n, d) before the graph is built: an
-    n^d past the cap already costs more than the cap.
+    ``_hamming_coloring``.  The rank holds for any n; it equals C(d+r, d+1)
+    for n >= r+1, the range of :func:`~bootperc.formulas.weak_saturation_hamming`,
+    and no closed form is claimed for n <= r.  The cost guard is checked
+    from (n, d) before the graph is built: an n^d past the cap already
+    costs more than the cap.
     """
     if d < 1 or r < 1:
         raise PreconditionError("need d >= 1 and r >= 1")
-    if n <= r:
-        raise PreconditionError(f"need n >= r+1, got n={n}, r={r}")
     space = HammingSpace(n, d)
     size = space.capped_size(cost_cap)
     _check_cost(size, size * d * (n - 1) // 2, r, cost_cap)

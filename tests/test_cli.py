@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import bootperc
 from bootperc import oracle
 from bootperc.cli import COMMANDS, build_parser, load_graph, main
 from bootperc.errors import PreconditionError
-from bootperc.graphs import Graph, graph_to_text, make_complete, make_hamming, HammingSpace
+from bootperc.graphs import Graph, make_complete, make_hamming, HammingSpace
 
 from conftest import RecordingExecutor
 
@@ -57,7 +58,7 @@ class TestLoadGraph:
 
     def test_graph_file(self, tmp_path):
         path = tmp_path / "g.txt"
-        path.write_text(graph_to_text(make_complete(4)))
+        path.write_text("p 4 6\n" + "".join(f"e {u} {v}\n" for u, v in combinations(range(4), 2)))
         assert load_graph(str(path)) == make_complete(4)
 
 
@@ -700,10 +701,10 @@ PUBLIC_NAMES = {
     "engine": ("ActivationTrace", "is_percolating", "is_percolating_hamming", "percolate",
                "seed_from_text", "seed_to_text", "trace_to_jsonable"),
     "errors": ("FormatError", "PreconditionError", "ResourceLimitError"),
-    "formulas": ("min_seed_complete", "min_seed_hamming_bounds", "min_seed_hamming_dim2",
-                 "min_seed_line_complete", "weak_saturation_hamming"),
-    "graphs": ("Graph", "HammingSpace", "graph_from_text", "graph_to_text", "make_complete",
-               "make_hamming", "make_line_graph"),
+    "formulas": ("min_seed_hamming_bounds", "min_seed_hamming_dim2", "min_seed_line_complete",
+                 "weak_saturation_hamming"),
+    "graphs": ("Graph", "HammingSpace", "graph_from_text", "make_complete", "make_hamming",
+               "make_line_graph"),
     "oracle": ("SearchResult", "min_percolating"),
     "polymethod": ("DimReport", "is_proper_coloring", "product_coloring_on",
                    "recognized_space_dim_hamming", "recognized_space_report"),
@@ -715,7 +716,7 @@ class TestPackageNames:
 
     def test_all_lists_the_public_names(self):
         assert bootperc.__all__ == sorted(n for names in PUBLIC_NAMES.values() for n in names)
-        assert len(bootperc.__all__) == 36
+        assert len(bootperc.__all__) == 34
 
     @pytest.mark.parametrize(
         "home,name", [(home, n) for home, names in PUBLIC_NAMES.items() for n in names]
@@ -732,7 +733,8 @@ class TestPackageNames:
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             bootperc.no_such_name
         # left the package; no stale alias
-        for gone in ("lift_coloring", "star_seed_complete", "inner_cut_region"):
+        for gone in ("lift_coloring", "star_seed_complete", "inner_cut_region",
+                     "min_seed_complete", "graph_to_text"):
             assert not hasattr(bootperc, gone)
 
     def test_dir_lists_the_public_names(self):

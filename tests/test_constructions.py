@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_star
-from bootperc import constructions
+from bootperc import constructions, formulas
 from bootperc.constructions import (
     _binomial_exceeds,
     _check_corner_args,
@@ -23,6 +23,7 @@ from bootperc.constructions import (
 )
 from bootperc.engine import percolate
 from bootperc.errors import PreconditionError, ResourceLimitError
+from bootperc.formulas import min_seed_line_complete
 from bootperc.graphs import HammingSpace, make_hamming
 
 
@@ -378,6 +379,20 @@ class TestLineSeed:
         lo = ceil(r / 2) + 2
         for n in range(lo, lo + 5):
             assert len(line_seed(n, r)) == (r + 2) ** 2 // 8
+
+    def test_every_admitted_instance(self):
+        # n >= ceil(r/2)+2, that is r <= 2(n-2): simple edges, the closed-form size
+        for n in range(2, 41):
+            for r in range(2 * (n - 2) + 1):
+                seed = line_seed(n, r)
+                assert all(0 <= u < v < n for u, v in seed), (n, r)
+                assert len({frozenset(e) for e in seed}) == len(seed), (n, r)
+                assert len(seed) == min_seed_line_complete(n, r), (n, r)
+
+    def test_size_is_checked_against_the_closed_form(self, monkeypatch):
+        monkeypatch.setattr(formulas, "min_seed_line_complete", lambda n, r: (r + 2) ** 2 // 8 + 1)
+        with pytest.raises(AssertionError, match="disagrees with its closed form"):
+            line_seed(9, 6)
 
     def test_rejects_small_alphabet(self):
         with pytest.raises(PreconditionError):

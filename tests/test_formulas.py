@@ -7,7 +7,6 @@ import pytest
 from bootperc.constructions import simplex_region
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.formulas import (
-    min_seed_complete,
     min_seed_hamming_bounds,
     min_seed_hamming_dim2,
     min_seed_line_complete,
@@ -17,11 +16,6 @@ from reference_simplex import count_weighted_simplex, weighted_simplex_bounds
 
 
 class TestClosedForms:
-    def test_complete(self):
-        assert min_seed_complete(4, 3) == 3
-        assert min_seed_complete(3, 5) == 3
-        assert min_seed_complete(7, 0) == 0
-
     def test_hamming_dim2(self):
         assert min_seed_hamming_dim2(6, 5) == 9
         assert min_seed_hamming_dim2(2, 5) == 4  # degree < r, nothing spreads

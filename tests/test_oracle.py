@@ -16,7 +16,6 @@ from bootperc.constructions import carved_corner_set
 from bootperc.engine import is_percolating
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.formulas import (
-    min_seed_complete,
     min_seed_hamming_bounds,
     min_seed_line_complete,
     weak_saturation_hamming,
@@ -106,11 +105,10 @@ class TestVertexSearch:
             min_percolating(make_complete(4), 2, "vertex", **{bound: 0})
 
     def test_complete_graphs_match_the_closed_form(self):
+        # m(K_n, r) = min(n, r)
         for n in range(1, 9):
             for r in range(n + 2):
-                assert min_percolating(make_complete(n), r, "vertex").minimum == (
-                    min_seed_complete(n, r)
-                ), (n, r)
+                assert min_percolating(make_complete(n), r, "vertex").minimum == min(n, r), (n, r)
 
 
 class TestHammingDim3:

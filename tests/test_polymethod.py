@@ -185,9 +185,41 @@ class TestHammingDimension:
         with pytest.raises(ResourceLimitError):
             recognized_space_dim_hamming(3, 2, 10**9)  # n^d past the cap is not formed
 
-    def test_rejects_unproven_range(self):
-        with pytest.raises(PreconditionError):
-            recognized_space_dim_hamming(3, 3, 2)
+    @pytest.mark.parametrize(
+        "r,d", [(r, d) for r, top in ((2, 8), (3, 8), (4, 7)) for d in range(r, top + 1)]
+    )
+    def test_hypercube_fit(self, r, d):
+        """On Q_d = K_2^d, below the n >= r+1 range of C(d+r, d+1),
+        dim = sum over i < r of (r-i)*C(d,i).
+
+        A fit to these 17 measured rows, not a proof.  Q_8 at r = 4 is
+        past the default cost cap.
+        """
+        assert recognized_space_dim_hamming(2, r, d) == sum(
+            (r - i) * comb(d, i) for i in range(r)
+        )
+
+    @pytest.mark.parametrize(
+        "n,r,d,minimum",
+        [
+            (3, 3, 2, 4),
+            (3, 4, 2, 6),
+            (4, 4, 2, 6),
+            (4, 5, 2, 9),
+            (3, 3, 3, 6),
+            (3, 4, 3, 9),
+            # hypercubes, where the lifted bound meets the minimum
+            (2, 2, 3, 3),
+            (2, 3, 4, 6),
+        ],
+    )
+    def test_lift_against_the_oracle(self, n, r, d, minimum):
+        # minimum: m(K_n^d, r) found by the oracle (min_percolating), pinned;
+        # for n <= r the lifted bound ceil(dim/r) holds but may fall short of it
+        bound = -(-recognized_space_dim_hamming(n, r, d) // r)
+        assert bound <= minimum
+        if n == 2:
+            assert bound == minimum
 
 
 class TestWitnesses:
