@@ -206,7 +206,7 @@ def cmd_dimw(args: argparse.Namespace) -> int:
     # a negative threshold on the command line is an input error
     check_threshold(args.r)
     g = load_graph(args.graph)
-    gammas = _generators(args.generators) if args.generators else None
+    gammas = _generators(args.generators) if args.generators is not None else None
     coloring = polymethod.product_coloring_on(g, gammas)
     report = polymethod.recognized_space_report(g, coloring, args.r)
     payload: dict[str, object] = {"dim": report.dim}

@@ -1,63 +1,40 @@
-"""Exact integer rank of a sparse rational matrix.
+"""Exact rank of a sparse integer matrix.
 
 The polymethod needs one number from linear algebra: the rank of its
 constraint matrix C, since the recognized-space dimension is
 Σ_v min(deg v, r) − rank(C) (see ``bootperc.polymethod``).  C has two
-blocks of r nonzeros per row, so ``mat_rank`` works on sparse rows.
+blocks of r nonzeros per row, so ``mat_rank`` takes sparse integer
+rows {column: entry}, built by ``polymethod`` with denominators cleared.
 
-Each row is scaled to integers by the lcm of its denominators and kept
-primitive (its gcd content divided out).  Elimination is fraction-free:
-a row with entry a in the pivot column becomes (p/g)·row − (a/g)·pivot,
-with p the pivot entry and g = gcd(a, p), so every entry stays an exact
-Python int.  Only the rows holding a nonzero in the pivot column are
-touched; a column index finds them.  No float and no modular shortcut
-is involved, so the answer is the rank over the rationals.
+Elimination is fraction-free: a row with entry a in the pivot column
+becomes (p/g)·row − (a/g)·pivot, with p the pivot entry and
+g = gcd(a, p), and then loses its gcd content, so every entry stays an
+exact Python int.  Only the rows holding a nonzero in the pivot column
+are touched; a column index finds them.  No float and no modular
+shortcut is involved, so the answer is the rank over the rationals.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from math import gcd, lcm
-from typing import TYPE_CHECKING
+from collections.abc import Iterable
+from math import gcd
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    Number = int | Fraction
 SparseRow = dict[int, int]
 
 
-def _integer_row(row: Sequence[Number] | Mapping[int, Number]) -> SparseRow:
-    """The nonzeros of ``row`` as a primitive integer row {column: entry}."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    out = {j: x for j, x in items if x}
-    if not out:
-        return out
-    if not all(type(x) is int for x in out.values()):
-        from fractions import Fraction  # integer rows, the common case, never need it
+def mat_rank(rows: Iterable[SparseRow]) -> int:
+    """Rank over the rationals of a matrix given by sparse integer rows.
 
-        exact = {j: Fraction(x) for j, x in out.items()}
-        scale = lcm(*(x.denominator for x in exact.values()))
-        out = {j: x.numerator * (scale // x.denominator) for j, x in exact.items()}
-    content = gcd(*out.values())
-    if content > 1:
-        out = {j: x // content for j, x in out.items()}
-    return out
-
-
-def mat_rank(rows: Iterable[Sequence[Number] | Mapping[int, Number]]) -> int:
-    """Rank over the rationals of a matrix given by its rows.
-
-    A row is either a dense sequence or a sparse mapping from column
-    index to entry; entries are ints or Fractions.  Columns are
-    eliminated in increasing order.  The pivot for a column is the
+    Each row maps column index to int entry.  Zeros are dropped from a
+    copy of each row, so the caller's rows are never modified.  Columns
+    are eliminated in increasing order.  The pivot for a column is the
     shortest row holding it, ties going to the smaller pivot entry,
     which keeps fill-in and entry growth down.
     """
     active: dict[int, SparseRow] = {}
     holders_of: dict[int, set[int]] = {}  # column -> active rows nonzero there
     for i, row in enumerate(rows):
-        row = _integer_row(row)
+        row = {j: x for j, x in row.items() if x}
         if row:
             active[i] = row
             for j in row:

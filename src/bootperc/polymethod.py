@@ -153,15 +153,17 @@ def _check_cost(vertices: int, edges: int, r: int, cost_cap: int) -> None:
 
 
 def _constraint_rows(g: Graph, colors: Sequence[Fraction | int], r: int) -> list[dict[int, int]]:
-    """C as sparse integer rows: P_u(c) - P_v(c) for each edge uv, by edge id.
+    """C as sparse primitive integer rows: P_u(c) - P_v(c) for each edge uv, by edge id.
 
     Column k*|V| + u holds the coefficient of x^k in P_u.  A color a/b
-    contributes c^k scaled by b^(r-1), that is a^k * b^(r-1-k), so the
-    row is integral; ints have denominator 1.  ``mat_rank`` eliminates
-    columns in increasing order, so the constant terms go first: they
-    form the graph's signed incidence matrix, whose unit pivots add no
-    entry growth, and this about halves the elimination time on Hamming
-    graphs.
+    in lowest terms contributes c^k scaled by b^(r-1), that is
+    ±a^k * b^(r-1-k); ints have denominator 1.  So the row is integral,
+    and primitive as b^(r-1) and a^(r-1) are coprime (a zero color gives
+    entries ±1); ``mat_rank`` divides out no content first, so its entry
+    sizes rely on this.  It eliminates columns in increasing order, so
+    the constant terms go first: they form the graph's signed incidence
+    matrix, whose unit pivots add no entry growth, and this about halves
+    the elimination time on Hamming graphs.
     """
     n = g.vertex_count
     rows = []
@@ -202,11 +204,17 @@ def recognized_space_report(
     rank min(deg v, r).  Disjoint blocks add their ranks.
 
     So one exact rank, of C, gives the whole report.  The cost guard is
-    checked before any row is built.
+    checked before any row is built, then each color's type.
     """
     if r <= 0:
         return DimReport(0, 0, 0, 0)
     _check_cost(g.vertex_count, g.edge_count, r, cost_cap)
+    if not all(isinstance(x, int) for x in colors):
+        from fractions import Fraction  # int colors, the common case, never need it
+
+        for x in colors:
+            if not isinstance(x, (int, Fraction)):
+                raise PreconditionError(f"color {x!r} is not an int or a Fraction")
     if not is_proper_coloring(g, colors):
         raise PreconditionError("coloring is not proper")
     ncols = g.vertex_count * r

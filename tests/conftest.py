@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import Future
+from fractions import Fraction
+from math import lcm
 
 from bootperc.graphs import Graph
 
@@ -25,6 +27,17 @@ def random_vertex_seed(rng: random.Random, g: Graph) -> frozenset[int]:
 
 def random_edge_seed(rng: random.Random, g: Graph) -> frozenset[tuple[int, int]]:
     return frozenset(e for e in g.edge_list() if rng.random() < 0.3)
+
+
+def integer_rows(matrix):
+    """Dense rational rows as the sparse integer rows ``mat_rank`` takes:
+    each row scaled by the lcm of its denominators, its zeros dropped."""
+    rows = []
+    for row in matrix:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append({j: int(x * scale) for j, x in enumerate(row) if x})
+    return rows
 
 
 class RecordingExecutor:

@@ -31,7 +31,7 @@ from bootperc.linalg import mat_rank
 from bootperc.oracle import min_percolating
 from bootperc.polymethod import first_primes
 
-from conftest import random_edge_seed, random_graph, random_vertex_seed
+from conftest import integer_rows, random_edge_seed, random_graph, random_vertex_seed
 from reference_lift import cartesian_product, lift_coloring, product_coloring, recognized_space_dim
 from reference_simplex import count_weighted_simplex, weighted_simplex_bounds
 from reference_witnesses import complete_graph_witnesses, evaluate, witness_value_matrix
@@ -107,7 +107,7 @@ def test_criterion_4_polynomial_squeeze():
                 left = evaluate(w.polynomials[i], color)
                 ok = ok and left == evaluate(w.polynomials[j], color) == w.values[(i, j)]
         matrix = witness_value_matrix(witnesses, make_complete(n))
-        ok = ok and mat_rank(matrix) == comb(r + 1, 2)
+        ok = ok and mat_rank(integer_rows(matrix)) == comb(r + 1, 2)
     _report(4, "polynomial-method squeeze", ok, started, 30.0)
 
 

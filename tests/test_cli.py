@@ -605,6 +605,12 @@ class TestRejectedInput:
         assert reason["error"] == "FormatError"
         assert repr(token) in reason["reason"]
 
+    def test_empty_generators_are_refused(self, capsys):
+        # an empty list is bad input, not a request for the default primes
+        rc, reason, _ = self.run(["dimw", "Kn:4", "--r", "3", "--generators", ""], capsys)
+        assert rc == 1
+        assert reason == {"error": "FormatError", "reason": "bad generator '' in --generators"}
+
     def test_oversized_dimw_instance(self, capsys):
         # E*(V*r)^2 = 4950 * 1000^2, far over the rank-cost cap
         rc, reason, elapsed = self.run(["dimw", "Kn:100", "--r", "10"], capsys)
@@ -671,8 +677,9 @@ class TestStartup:
             ('bootperc.cli.main(["verify", "--family", "c", "--n", "9", "--r", "8", "--d", "5"])',
              "PERCOLATES size=560"),
             ("print(bootperc.polymethod.recognized_space_dim_hamming(5, 4, 2))", "20"),
+            ('bootperc.cli.main(["dimw", "Kn:4", "--r", "3"])', '{"dim": 6}'),
         ],
-        ids=["verify-c", "lifted-dimension"],
+        ids=["verify-c", "lifted-dimension", "dimw"],
     )
     def test_integer_paths_load_no_rationals(self, code, answer):
         out = run_python(f"import sys, bootperc.cli; {code}; print(*sys.modules)")

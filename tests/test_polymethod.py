@@ -17,6 +17,7 @@ from bootperc.polymethod import (
     recognized_space_dim_hamming,
     recognized_space_report,
 )
+from conftest import integer_rows
 from reference_lift import (
     cartesian_product,
     iterated_lift,
@@ -128,6 +129,20 @@ class TestRecognizedSpaceDim:
         for bad in ([4, 4, 9], [6, 10], [6, 10, 15, 21]):
             with pytest.raises(PreconditionError, match="^coloring is not proper$"):
                 recognized_space_report(make_complete(3), bad, 2)
+
+    @pytest.mark.parametrize("bad", [1.5, "a", None, [1]], ids=["float", "str", "None", "list"])
+    def test_refuses_colors_that_are_not_rational(self, bad):
+        # refused before the properness check, which a list color would crash
+        for colors in ([bad, 1, 2, 3, 4, 5], [bad, bad, 2, 3, 4, 5]):
+            with pytest.raises(PreconditionError, match="is not an int or a Fraction$"):
+                recognized_space_report(make_complete(4), colors, 3)
+        assert recognized_space_report(make_complete(4), [bad] * 6, 0) == (0, 0, 0, 0)
+
+    def test_zero_color(self):
+        # a proper coloring may use 0, whose rows have zero entries for x^1 .. x^(r-1)
+        assert recognized_space_report(make_complete(4), list(range(6)), 3) == (6, 6, 12, 6)
+        assert recognized_space_report(make_complete(4), list(range(6)), 1) == (1, 6, 4, 1)
+        assert recognized_space_report(make_complete(5), list(range(10)), 4) == (10, 10, 20, 10)
 
     def test_nonprime_generators_reach_the_same_dimension(self):
         # any distinct nonzero generators support the full witness family
@@ -253,14 +268,14 @@ class TestWitnesses:
     def test_linear_independence(self, n, r):
         ws = complete_graph_witnesses(n, r)
         matrix = witness_value_matrix(ws, make_complete(n))
-        assert mat_rank(matrix) == comb(r + 1, 2)
+        assert mat_rank(integer_rows(matrix)) == comb(r + 1, 2)
 
     @pytest.mark.parametrize("n,r", [(4, 2), (5, 3), (5, 4)])
     def test_witnesses_live_inside_the_recognized_space(self, n, r):
         # test_recognition_on_every_edge shows each witness is recognized;
         # spanning as many dimensions as the space has, they span it.
         g = make_complete(n)
-        rank = mat_rank(witness_value_matrix(complete_graph_witnesses(n, r), g))
+        rank = mat_rank(integer_rows(witness_value_matrix(complete_graph_witnesses(n, r), g)))
         assert rank == recognized_space_dim(g, product_coloring(n), r) == comb(r + 1, 2)
 
     def test_rejects_unproven_range(self):

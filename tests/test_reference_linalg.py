@@ -8,6 +8,7 @@ import reference_linalg as ref
 from bootperc.graphs import HammingSpace, make_complete, make_hamming
 from bootperc.linalg import mat_rank
 from bootperc.polymethod import product_coloring_on, recognized_space_report
+from conftest import integer_rows
 from reference_lift import iterated_lift, product_coloring
 
 
@@ -60,7 +61,7 @@ def stacked_constraints_and_evaluations(g, coloring, r):
 def test_vandermonde_identity(build, r):
     g, coloring = build()
     degree_sum = sum(min(g.degree(v), r) for v in range(g.vertex_count))
-    assert mat_rank(stacked_constraints_and_evaluations(g, coloring, r)) == degree_sum
+    assert mat_rank(integer_rows(stacked_constraints_and_evaluations(g, coloring, r))) == degree_sum
 
 
 def test_vandermonde_identity_against_the_fraction_rank():
