@@ -32,9 +32,11 @@ def _lazy(layer: str):
     return module
 
 
+hamming = _lazy("hamming")
 graphs = _lazy("graphs")
 linalg = _lazy("linalg")
 formulas = _lazy("formulas")
+packed = _lazy("packed")
 engine = _lazy("engine")
 constructions = _lazy("constructions")
 oracle = _lazy("oracle")
@@ -51,7 +53,6 @@ _HOMES = {
     "vertex_seed_dim2": constructions,
     "ActivationTrace": engine,
     "is_percolating": engine,
-    "is_percolating_hamming": engine,
     "percolate": engine,
     "seed_from_text": engine,
     "seed_to_text": engine,
@@ -64,13 +65,14 @@ _HOMES = {
     "min_seed_line_complete": formulas,
     "weak_saturation_hamming": formulas,
     "Graph": graphs,
-    "HammingSpace": graphs,
     "graph_from_text": graphs,
     "make_complete": graphs,
     "make_hamming": graphs,
     "make_line_graph": graphs,
+    "HammingSpace": hamming,
     "SearchResult": oracle,
     "min_percolating": oracle,
+    "is_percolating_hamming": packed,
     "DimReport": polymethod,
     "is_proper_coloring": polymethod,
     "product_coloring_on": polymethod,

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from bootperc import constructions, engine, formulas, graphs, oracle, polymethod
+from bootperc import constructions, engine, formulas, graphs, hamming, oracle, packed, polymethod
 from bootperc.errors import (
     PROCESSES,
     FormatError,
@@ -46,7 +46,7 @@ def load_graph(spec: str) -> graphs.Graph:
         if name == "Hamming":
             if len(args) != 2:
                 raise PreconditionError("Hamming takes two parameters, e.g. Hamming:4,2")
-            return graphs.make_hamming(graphs.HammingSpace(args[0], args[1]))
+            return graphs.make_hamming(hamming.HammingSpace(args[0], args[1]))
         if name == "LineK":
             if len(args) != 1:
                 raise PreconditionError("LineK takes one parameter, e.g. LineK:5")
@@ -123,7 +123,7 @@ def _check_printable(n: int, d: int) -> None:
     if n < 2 or d < 1 or limit == 0:
         return  # the builders refuse a bad n or d with their own messages
     bound = 10**limit
-    if graphs.HammingSpace(n, d).capped_size(bound) > bound:
+    if hamming.HammingSpace(n, d).capped_size(bound) > bound:
         raise ResourceLimitError(
             f"vertex ids of [0,{n})^{d} would have more than {limit} digits, "
             "the most an integer is printed with"
@@ -143,11 +143,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     process, d, build = _family(args.family, args.d)
-    space = graphs.HammingSpace(args.n, d)  # the line family's K_n is HammingSpace(n, 1)
+    space = hamming.HammingSpace(args.n, d)  # the line family's K_n is HammingSpace(n, 1)
     # the packed guard first: it refuses a dimension before the seed enumerates it
-    engine.check_packed(space, process)
+    packed.check_packed(space, process)
     seed = build(args.n, args.r, d)
-    ok = engine.is_percolating_hamming(space, args.r, process, seed)
+    ok = packed.is_percolating_hamming(space, args.r, process, seed)
     print(f"{'PERCOLATES' if ok else 'STALLS'} size={len(seed)}")
     return 0
 

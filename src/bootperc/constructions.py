@@ -4,8 +4,9 @@ Vertex seeds are returned as flat index sets on the corresponding
 Hamming graph (row-major codec, first coordinate most significant);
 regions are returned as point sets in [0,n)^d.  The corner sets reflect
 a region to the 2^(d-1) corners with t_1 = t_2 on the ids themselves,
-from the strides of :class:`HammingSpace`.  Edge seeds are normalized
-(min, max) pairs.
+from the strides of :class:`~bootperc.hamming.HammingSpace`.  Edge seeds
+are normalized (min, max) pairs.  No seed builds a graph: the geometry
+comes from ``HammingSpace`` and the size caps from the CSR slot cap.
 
 The membership test of the inner cut, which involves the weight
 delta = (d-2)/(d-1), is multiplied through by d-1 and done in integers:
@@ -17,11 +18,19 @@ from __future__ import annotations
 
 from itertools import combinations, filterfalse
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from bootperc import formulas
-from bootperc.errors import PreconditionError, ResourceLimitError, check_threshold
-from bootperc.graphs import DEFAULT_SLOT_CAP, Edge, HammingSpace
+from bootperc.errors import (
+    DEFAULT_SLOT_CAP,
+    PreconditionError,
+    ResourceLimitError,
+    check_threshold,
+)
+from bootperc.hamming import HammingSpace
+
+if TYPE_CHECKING:
+    from bootperc.graphs import Edge
 
 Point = tuple[int, ...]
 Region = frozenset[Point]
@@ -29,7 +38,7 @@ Region = frozenset[Point]
 # Building a corner set peaks at 50-240 bytes per counted point (measured
 # for d = 2..19: the region's point tuples and the final set of ids, which
 # dominates; reflecting ids from the strides, not point tuples, left that
-# peak in place), as much as 3-16 CSR slots, so the graphs' slot cap admits
+# peak in place), as much as 3-16 CSR slots, so the CSR slot cap admits
 # a sixteenth as many points: at most about 300 MB.  Building an edge seed
 # peaks at 80-170 bytes per edge (measured near the cap on the line seed
 # and on star seeds of dimension 1, 2, 3, 9 and 20: the edge tuples and

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, and the checks every layer makes."""
+"""Exceptions shared across the package, the checks every layer makes, and the slot cap."""
 
 
 class PreconditionError(ValueError):
@@ -36,3 +36,12 @@ def check_threshold(r: int) -> None:
     """Refuse a negative threshold."""
     if r < 0:
         raise PreconditionError("threshold r must be nonnegative")
+
+
+# The size cap of a CSR graph: vertices + 2*edges slots.  Rows take 4
+# bytes per slot and derived edge ids 8 more; deriving them peaks near
+# 15 bytes per slot (Hamming(12,5): 13.9M slots, 205 MB over the
+# interpreter's own 20 MB), so about 300 MB at the cap.  The cap also
+# keeps every offset, vertex and edge id inside a 32-bit typecode.  The
+# seed constructions derive their own cap from it.
+DEFAULT_SLOT_CAP = 20_000_000

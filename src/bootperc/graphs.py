@@ -4,12 +4,9 @@ Everything here is a finite, undirected, simple graph with vertices
 indexed 0..n-1.  Graphs are immutable after construction and safe to
 share between threads or worker processes.
 
-A Hamming graph on alphabet size n and dimension d encodes the point
-(x_1, ..., x_d) as x_1*n^(d-1) + ... + x_d, i.e. x_1 is the most
-significant coordinate, as in the Cartesian product of d copies of K_n
-with the first factor major.  :class:`HammingSpace` holds that geometry
-for every layer: the codec, the strides n^(d-1-i) and the bound on n^d.
-The complete graph K_n is the Hamming graph of [0,n)^1.
+The Hamming graph K_n^d is built on the codec and strides of
+:class:`~bootperc.hamming.HammingSpace`; the complete graph K_n is the
+Hamming graph of [0,n)^1.
 
 A graph is stored once, as compressed sparse rows (CSR) of 32-bit
 integers: the neighbors of v are ``targets[offsets[v]:offsets[v+1]]``,
@@ -17,8 +14,8 @@ sorted.  Edges have integer ids in lexicographic order of their
 (min, max) pairs: edge e joins ``tails[e] < heads[e]``, and
 ``slot_edges[k]`` is the id of the edge behind adjacency slot k, so
 each row of slot_edges is sorted too.  Every builder checks the size of
-the rows, vertex_count + 2*edge_count slots, against one cap before it
-allocates anything.
+the rows, vertex_count + 2*edge_count slots, against one cap,
+``errors.DEFAULT_SLOT_CAP``, before it allocates anything.
 
 Hamming rows are not built vertex by vertex.  Where coordinate i's
 neighbors sit in a row depends only on the coordinates before i, so
@@ -35,16 +32,11 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Iterable
 
-from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
+from bootperc.errors import DEFAULT_SLOT_CAP, FormatError, PreconditionError, ResourceLimitError
+from bootperc.hamming import HammingSpace, _read_only
 
 Edge = tuple[int, int]
-
-# Rows take 4 bytes per slot and derived edge ids 8 more; deriving them
-# peaks near 15 bytes per slot (Hamming(12,5): 13.9M slots, 205 MB over
-# the interpreter's own 20 MB), so about 300 MB at the cap.  The cap also
-# keeps every offset, vertex and edge id inside the 32-bit typecode.
-DEFAULT_SLOT_CAP = 20_000_000
-_INT = "i"
+_INT = "i"  # 32 bits: the slot cap keeps every offset, vertex and edge id inside it
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -64,10 +56,6 @@ def _check_slots(what: str, vertices: int, edges: int) -> None:
 def _offsets(degrees: Iterable[int]) -> array:
     # array() fills from a list in one pass, from an iterator item by item
     return array(_INT, list(accumulate(degrees, initial=0)))
-
-
-def _read_only(self, name: str, *_) -> None:
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
 
 
 class Graph:
@@ -208,74 +196,6 @@ class Graph:
         if k < 0:
             raise KeyError(normalize_edge(u, v))
         return self.slot_edges[k]
-
-
-class HammingSpace:
-    """The points of [0,n)^d and the geometry of K_n^d; read-only and hashable.
-
-    The codec, the strides and the bound on n^d that every layer reads;
-    read the strides once n^d is bounded.  n = 1 is one vertex.
-    """
-
-    n: int
-    d: int
-
-    def __init__(self, n: int, d: int) -> None:
-        if n < 1 or d < 1:
-            raise PreconditionError("HammingSpace needs n >= 1 and d >= 1")
-        vars(self).update(n=n, d=d)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __repr__(self) -> str:
-        return f"HammingSpace(n={self.n}, d={self.d})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.d) == (other.n, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d))
-
-    @property
-    def size(self) -> int:
-        return self.n**self.d
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """n^(d-1-i) per coordinate i, most significant first; K_1's (1,) for n = 1."""
-        if self.n == 1:
-            return (1,)
-        return tuple(self.n ** (self.d - 1 - i) for i in range(self.d))
-
-    def capped_size(self, cap: int) -> int:
-        """n^d if at most ``cap``, else the first of n, n^2, ... past it, however large d is."""
-        size = 1
-        if self.n > 1:
-            for _ in range(self.d):
-                size *= self.n
-                if size > cap:
-                    break
-        return size
-
-    def encode(self, point: tuple[int, ...]) -> int:
-        if len(point) != self.d:
-            raise PreconditionError(f"point has {len(point)} coordinates, expected {self.d}")
-        index = 0
-        for x in point:
-            if not 0 <= x < self.n:
-                raise PreconditionError(f"coordinate {x} out of range [0,{self.n})")
-            index = index * self.n + x
-        return index
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise PreconditionError(f"index {index} out of range [0,{self.size})")
-        coords = [0] * self.d
-        for i in range(self.d - 1, -1, -1):
-            index, coords[i] = divmod(index, self.n)
-        return tuple(coords)
 
 
 def make_complete(n: int) -> Graph:

@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from bootperc.errors import PreconditionError, ResourceLimitError
-from bootperc.graphs import Graph, HammingSpace, make_hamming
+from bootperc.graphs import Graph, make_hamming
+from bootperc.hamming import HammingSpace
 from bootperc.linalg import mat_rank
 
 if TYPE_CHECKING:
@@ -68,8 +69,22 @@ def first_primes(k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # colorings
 
+def _check_rational(values: Sequence, what: str) -> None:
+    """Refuse a value that is not an int or a Fraction: nothing here becomes a float."""
+    if not all(isinstance(x, int) for x in values):
+        from fractions import Fraction  # int values, the common case, never need it
+
+        for x in values:
+            if not isinstance(x, (int, Fraction)):
+                raise PreconditionError(f"{what} {x!r} is not an int or a Fraction")
+
+
 def is_proper_coloring(g: Graph, colors: Sequence[Fraction | int]) -> bool:
-    """True iff there is one color per edge id and incident edges get distinct colors."""
+    """True iff there is one color per edge id and incident edges get distinct colors.
+
+    Raises PreconditionError for a color that is not an int or a Fraction.
+    """
+    _check_rational(colors, "color")
     if len(colors) != g.edge_count:
         return False
     offsets, slot_edges = g.offsets, g.slot_edges
@@ -86,13 +101,15 @@ def product_coloring_on(g: Graph, gammas=None) -> list[Fraction | int]:
     Distinct nonzero generators make incident colors distinct on any
     graph (gamma_u*gamma_v = gamma_u*gamma_w only if gamma_v = gamma_w),
     so the coloring is proper; with primes all C(n,2) pairwise products
-    are distinct too.
+    are distinct too.  A generator that is not an int or a Fraction is a
+    PreconditionError.
     """
     if gammas is None:
         gammas = first_primes(g.vertex_count)
     gammas = list(gammas)
     if len(gammas) != g.vertex_count:
         raise PreconditionError("need one generator per vertex")
+    _check_rational(gammas, "generator")
     if len(set(gammas)) != len(gammas) or any(x == 0 for x in gammas):
         raise PreconditionError("generators must be distinct and nonzero")
     return [gammas[u] * gammas[v] for u, v in zip(g.tails, g.heads)]
@@ -204,17 +221,12 @@ def recognized_space_report(
     rank min(deg v, r).  Disjoint blocks add their ranks.
 
     So one exact rank, of C, gives the whole report.  The cost guard is
-    checked before any row is built, then each color's type.
+    checked before any row is built, then each color's type and the
+    properness, by :func:`is_proper_coloring`.
     """
     if r <= 0:
         return DimReport(0, 0, 0, 0)
     _check_cost(g.vertex_count, g.edge_count, r, cost_cap)
-    if not all(isinstance(x, int) for x in colors):
-        from fractions import Fraction  # int colors, the common case, never need it
-
-        for x in colors:
-            if not isinstance(x, (int, Fraction)):
-                raise PreconditionError(f"color {x!r} is not an int or a Fraction")
     if not is_proper_coloring(g, colors):
         raise PreconditionError("coloring is not proper")
     ncols = g.vertex_count * r

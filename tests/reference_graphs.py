@@ -11,7 +11,8 @@ from __future__ import annotations
 from array import array
 from itertools import product, repeat
 
-from bootperc.graphs import Graph, HammingSpace, _check_slots, _offsets
+from bootperc.graphs import Graph, _check_slots, _offsets
+from bootperc.hamming import HammingSpace
 
 _INT = "i"
 

@@ -22,11 +22,11 @@ from bootperc.constructions import (
 from bootperc.engine import is_percolating, percolate
 from bootperc.formulas import min_seed_hamming_bounds
 from bootperc.graphs import (
-    HammingSpace,
     make_complete,
     make_hamming,
     make_line_graph,
 )
+from bootperc.hamming import HammingSpace
 from bootperc.linalg import mat_rank
 from bootperc.oracle import min_percolating
 from bootperc.polymethod import first_primes

@@ -16,7 +16,8 @@ import bootperc
 from bootperc import oracle
 from bootperc.cli import COMMANDS, build_parser, load_graph, main
 from bootperc.errors import PreconditionError
-from bootperc.graphs import Graph, make_complete, make_hamming, HammingSpace
+from bootperc.graphs import Graph, make_complete, make_hamming
+from bootperc.hamming import HammingSpace
 
 from conftest import RecordingExecutor
 
@@ -619,7 +620,8 @@ class TestRejectedInput:
         assert elapsed < 1.0
 
 
-LAYERS = ("graphs", "linalg", "formulas", "engine", "constructions", "oracle", "polymethod")
+LAYERS = ("hamming", "graphs", "linalg", "formulas", "packed", "engine", "constructions", "oracle",
+          "polymethod")
 
 # Prints the layers whose code has run, read without triggering a lazy load.
 EXECUTED_LAYERS = (
@@ -660,16 +662,26 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv,layers",
         [
+            # verify checks on K_n^d with no graph: neither graphs nor engine runs
             (["verify", "--family", "c", "--n", "9", "--r", "8", "--d", "5"],
-             "graphs engine constructions"),
-            (["dimw", "Kn:16", "--r", "5"], "graphs linalg polymethod"),
-            (["search", "Kn:6", "--r", "4", "--process", "line"], "graphs oracle"),
+             "hamming packed constructions"),
+            (["verify", "--family", "star", "--n", "20", "--r", "19", "--d", "3"],
+             "hamming packed constructions"),
+            (["verify", "--family", "line", "--n", "200", "--r", "100"],
+             "hamming formulas packed constructions"),
+            (["dimw", "Kn:16", "--r", "5"], "hamming graphs linalg polymethod"),
+            (["dimw", "Hamming:3,3", "--r", "2"], "hamming graphs linalg polymethod"),
+            (["search", "Kn:6", "--r", "4", "--process", "line"], "hamming graphs oracle"),
+            # graphs reads its read-only helper from hamming, so a file also runs it
+            (["search", "c4.txt", "--r", "2", "--process", "vertex"], "hamming graphs oracle"),
         ],
-        ids=["verify", "dimw", "search"],
+        ids=["verify", "verify-star", "verify-line", "dimw", "dimw-hamming", "search",
+             "search-file"],
     )
-    def test_each_command_runs_only_its_layers(self, argv, layers):
+    def test_each_command_runs_only_its_layers(self, tmp_path, argv, layers):
+        (tmp_path / "c4.txt").write_text("p 4 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")
         code = f"import bootperc.cli; bootperc.cli.main({argv!r}); {EXECUTED_LAYERS}"
-        assert run_python(code).splitlines()[-1] == layers
+        assert run_python(code, cwd=tmp_path).splitlines()[-1] == layers
 
     @pytest.mark.parametrize(
         "code,answer",
@@ -705,14 +717,15 @@ class TestStartup:
 PUBLIC_NAMES = {
     "constructions": ("carved_corner_set", "carved_region", "line_seed", "simplex_corner_set",
                       "simplex_region", "star_seed_hamming", "vertex_seed_dim2"),
-    "engine": ("ActivationTrace", "is_percolating", "is_percolating_hamming", "percolate",
-               "seed_from_text", "seed_to_text", "trace_to_jsonable"),
+    "engine": ("ActivationTrace", "is_percolating", "percolate", "seed_from_text", "seed_to_text",
+               "trace_to_jsonable"),
     "errors": ("FormatError", "PreconditionError", "ResourceLimitError"),
     "formulas": ("min_seed_hamming_bounds", "min_seed_hamming_dim2", "min_seed_line_complete",
                  "weak_saturation_hamming"),
-    "graphs": ("Graph", "HammingSpace", "graph_from_text", "make_complete", "make_hamming",
-               "make_line_graph"),
+    "graphs": ("Graph", "graph_from_text", "make_complete", "make_hamming", "make_line_graph"),
+    "hamming": ("HammingSpace",),
     "oracle": ("SearchResult", "min_percolating"),
+    "packed": ("is_percolating_hamming",),
     "polymethod": ("DimReport", "is_proper_coloring", "product_coloring_on",
                    "recognized_space_dim_hamming", "recognized_space_report"),
 }

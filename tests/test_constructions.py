@@ -24,7 +24,8 @@ from bootperc.constructions import (
 from bootperc.engine import percolate
 from bootperc.errors import PreconditionError, ResourceLimitError
 from bootperc.formulas import min_seed_line_complete
-from bootperc.graphs import HammingSpace, make_hamming
+from bootperc.graphs import make_hamming
+from bootperc.hamming import HammingSpace
 
 
 def decode_all(n, d, indices):

@@ -5,15 +5,16 @@ import pytest
 
 from bootperc.engine import (
     is_percolating,
-    is_percolating_hamming,
     percolate,
     seed_from_text,
     seed_to_text,
     trace_to_jsonable,
 )
 from bootperc.errors import FormatError, PreconditionError
-from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming, make_line_graph
+from bootperc.graphs import Graph, make_complete, make_hamming, make_line_graph
+from bootperc.hamming import HammingSpace
 from bootperc.oracle import min_percolating
+from bootperc.packed import is_percolating_hamming
 
 from conftest import random_edge_seed, random_graph, random_vertex_seed
 

@@ -4,16 +4,15 @@ import tracemalloc
 
 import pytest
 
-from bootperc.errors import FormatError, PreconditionError, ResourceLimitError
+from bootperc.errors import DEFAULT_SLOT_CAP, FormatError, PreconditionError, ResourceLimitError
 from bootperc.graphs import (
-    DEFAULT_SLOT_CAP,
     Graph,
-    HammingSpace,
     graph_from_text,
     make_complete,
     make_hamming,
     make_line_graph,
 )
+from bootperc.hamming import HammingSpace
 
 from conftest import random_graph
 from reference_graphs import make_hamming as reference_make_hamming

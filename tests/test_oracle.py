@@ -20,7 +20,8 @@ from bootperc.formulas import (
     min_seed_line_complete,
     weak_saturation_hamming,
 )
-from bootperc.graphs import HammingSpace, make_complete, make_hamming, make_line_graph
+from bootperc.graphs import make_complete, make_hamming, make_line_graph
+from bootperc.hamming import HammingSpace
 from bootperc.oracle import DEFAULT_EDGE_CAP, min_percolating
 from bootperc.polymethod import product_coloring_on, recognized_space_report
 

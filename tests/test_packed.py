@@ -10,17 +10,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bootperc.constructions import carved_corner_set, line_seed, star_seed_hamming
-from bootperc.engine import (
+from bootperc.engine import percolate
+from bootperc.errors import PreconditionError, ResourceLimitError
+from bootperc.graphs import make_hamming
+from bootperc.hamming import HammingSpace
+from bootperc.packed import (
     _Packed,
     _copies,
     _packed_closure,
     _seed_neighbours,
     check_packed,
     is_percolating_hamming,
-    percolate,
 )
-from bootperc.errors import PreconditionError, ResourceLimitError
-from bootperc.graphs import HammingSpace, make_hamming
 
 # every (n, d) with n <= 8 and n^d <= 4096; n = 1 is one vertex whatever d is;
 # K_130 has degree 129, so its count fields take two bytes
@@ -164,6 +165,21 @@ def test_repunit_cut():
     for n in range(1, 41):
         assert bool(_Packed(HammingSpace(n, 1)).repunit) == (n <= 32)
     assert not _Packed(HammingSpace(130, 1)).repunit
+
+
+@pytest.mark.parametrize("n,d,width", [(3, 2, 1), (5, 3, 1), (127, 1, 1), (130, 1, 2)])
+def test_seed_degrees_are_the_tally_of_the_seed_ends(n, d, width):
+    # the star bias writes each vertex's seed degree into its field: the same
+    # int as the tally of every seed end; K_127 fills one-byte fields up to
+    # its degree 126, and K_130's degree 129 takes two-byte fields
+    space = HammingSpace(n, d)
+    p = _Packed(space)
+    assert p.width == width
+    rng = random.Random(n + d)
+    for density in (0, 0.05, 0.5, 1):
+        others = _seed_neighbours(space, 1, random_seed(rng, "star", graph(n, d), density))
+        degrees = p.fields((x, len(ys)) for x, ys in others.items())
+        assert degrees == p.tally(chain.from_iterable(others.values()))
 
 
 # both sides of the repunit cut, and n = 2, whose lines are single steps

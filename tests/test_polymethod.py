@@ -7,7 +7,8 @@ import pytest
 
 from bootperc import polymethod
 from bootperc.errors import PreconditionError, ResourceLimitError
-from bootperc.graphs import HammingSpace, make_complete, make_hamming
+from bootperc.graphs import make_complete, make_hamming
+from bootperc.hamming import HammingSpace
 from bootperc.linalg import mat_rank
 from bootperc.polymethod import (
     _hamming_coloring,
@@ -61,6 +62,21 @@ class TestProductColoring:
             product_coloring_on(make_complete(3), [2, 2, 5])
         with pytest.raises(PreconditionError):
             product_coloring_on(make_complete(3), [0, 1, 2])
+
+    @pytest.mark.parametrize("bad", [0.5, "a", None, [1]], ids=["float", "str", "None", "list"])
+    def test_refuses_generators_that_are_not_rational(self, bad):
+        # a float generator used to give float colors: [1.0, 1.5, 6] from [0.5, 2, 3]
+        with pytest.raises(PreconditionError, match="^generator .* is not an int or a Fraction$"):
+            product_coloring_on(make_complete(3), [bad, 2, 3])
+        half = product_coloring_on(make_complete(3), [Fraction(1, 2), 2, 3])
+        assert half == [1, Fraction(3, 2), 6]
+
+    @pytest.mark.parametrize("bad", [1.5, "a", None, [1]], ids=["float", "str", "None", "list"])
+    def test_properness_checker_refuses_colors_that_are_not_rational(self, bad):
+        # a list color used to raise TypeError (unhashable) from the distinctness test
+        for colors in ([bad, 2, 3], [bad, bad, bad], [bad]):
+            with pytest.raises(PreconditionError, match="^color .* is not an int or a Fraction$"):
+                is_proper_coloring(make_complete(3), colors)
 
 
 class TestLiftColoring:

@@ -4,7 +4,8 @@ import pytest
 
 from bootperc.engine import ActivationTrace, percolate
 from bootperc.errors import PreconditionError
-from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming
+from bootperc.graphs import Graph, make_complete, make_hamming
+from bootperc.hamming import HammingSpace
 from bootperc.oracle import SearchResult
 from bootperc.polymethod import DimReport
 

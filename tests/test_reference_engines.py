@@ -6,7 +6,8 @@ import pytest
 
 import reference_engines as ref
 from bootperc.engine import is_percolating, percolate
-from bootperc.graphs import HammingSpace, make_complete, make_hamming, make_line_graph
+from bootperc.graphs import make_complete, make_hamming, make_line_graph
+from bootperc.hamming import HammingSpace
 
 from conftest import random_edge_seed, random_graph, random_vertex_seed
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import reference_linalg as ref
-from bootperc.graphs import HammingSpace, make_complete, make_hamming
+from bootperc.graphs import make_complete, make_hamming
+from bootperc.hamming import HammingSpace
 from bootperc.linalg import mat_rank
 from bootperc.polymethod import product_coloring_on, recognized_space_report
 from conftest import integer_rows

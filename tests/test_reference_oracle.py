@@ -16,7 +16,8 @@ import reference_oracle as ref
 from bootperc import oracle
 from bootperc.engine import is_percolating, percolate
 from bootperc.errors import ResourceLimitError
-from bootperc.graphs import Graph, HammingSpace, make_complete, make_hamming, make_line_graph
+from bootperc.graphs import Graph, make_complete, make_hamming, make_line_graph
+from bootperc.hamming import HammingSpace
 
 from conftest import RecordingExecutor, random_graph
 
