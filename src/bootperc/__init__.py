@@ -54,8 +54,6 @@ _HOMES = {
     "ActivationTrace": engine,
     "is_percolating": engine,
     "percolate": engine,
-    "seed_from_text": engine,
-    "seed_to_text": engine,
     "trace_to_jsonable": engine,
     "FormatError": errors,
     "PreconditionError": errors,
@@ -69,6 +67,8 @@ _HOMES = {
     "make_complete": graphs,
     "make_hamming": graphs,
     "make_line_graph": graphs,
+    "seed_from_text": graphs,
+    "seed_to_text": graphs,
     "HammingSpace": hamming,
     "SearchResult": oracle,
     "min_percolating": oracle,

@@ -102,7 +102,7 @@ def _family(family: str, d: int | None):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    vertices, edges = engine.seed_from_text(_read_text(args.seed))
+    vertices, edges = graphs.seed_from_text(_read_text(args.seed))
     if args.process == "vertex":
         if edges:
             raise PreconditionError("vertex process needs a vertex seed, found edges")
@@ -135,7 +135,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     _check_printable(args.n, d)
     seed = build(args.n, args.r, d)
     vertices, edges = (seed, ()) if process == "vertex" else ((), seed)
-    _emit(engine.seed_to_text(vertices, edges), args.out)
+    _emit(graphs.seed_to_text(vertices, edges), args.out)
     stream = sys.stdout if args.out is not None else sys.stderr
     print(f"size={len(seed)}", file=stream)
     return 0

@@ -21,10 +21,10 @@ Each operation has one entry point that takes the process by name,
 the threshold: :func:`percolate` and :func:`is_percolating` on any
 :class:`Graph`.  Any other name is a PreconditionError.  On K_n^d,
 :func:`bootperc.packed.is_percolating_hamming` answers what
-``is_percolating`` answers, with no graph; that module also holds the
-seed checks both kernels make.
+``is_percolating`` answers, with no graph.
 
-Edge seeds hold (u, v) pairs, in either order.
+Edge seeds hold (u, v) pairs, in either order.  Seeds are checked by
+:mod:`bootperc.errors`; seed files are read and written by :mod:`bootperc.graphs`.
 
 All three processes run on one CSR kernel over integer ids: a counter
 per vertex and a frontier of newly active elements.  Applying a frontier
@@ -47,9 +47,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from bootperc.errors import PROCESSES, FormatError, check_process, check_threshold
-from bootperc.graphs import Edge, Graph, normalize_edge
-from bootperc.packed import _edge_pair, _not_an_edge, _vertex_ids
+from bootperc.errors import PROCESSES, check_process
+from bootperc.errors import _edge_pair, _not_an_edge, _vertex_ids, check_threshold
+from bootperc.graphs import Edge, Graph
 
 _VERTEX, _STAR = PROCESSES[:2]
 
@@ -177,36 +177,7 @@ def is_percolating(g: Graph, r: int, process: str, seed: Iterable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# seed files and trace serialization
-
-def seed_to_text(vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()) -> str:
-    """Serialize a seed: one "v <i>" or "e <u> <v>" line per element, sorted."""
-    lines = [f"v {v}" for v in sorted(set(vertices))]
-    lines += [f"e {u} {v}" for u, v in sorted({normalize_edge(u, v) for u, v in edges})]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def seed_from_text(text: str) -> tuple[frozenset[int], frozenset[Edge]]:
-    """Parse a seed file into (vertex set, edge set)."""
-    vertices: set[int] = set()
-    edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if (parts[0], len(parts)) not in (("v", 2), ("e", 3)):
-            raise FormatError(f"line {lineno}: expected 'v <i>' or 'e <u> <v>'")
-        try:
-            numbers = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise FormatError(f"line {lineno}: expected integers in {line!r}") from None
-        if parts[0] == "v":
-            vertices.add(numbers[0])
-        else:
-            edges.add(normalize_edge(*numbers))
-    return frozenset(vertices), frozenset(edges)
-
+# trace serialization
 
 def _jsonable_set(s: frozenset) -> list:
     return [list(x) if isinstance(x, tuple) else x for x in sorted(s)]

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package, the checks every layer makes, and the slot cap."""
+"""Exceptions shared across the package, the checks of every layer and seed, and the slot cap."""
 
 
 class PreconditionError(ValueError):
@@ -33,9 +33,35 @@ def check_process(process: str) -> None:
 
 
 def check_threshold(r: int) -> None:
-    """Refuse a negative threshold."""
+    """Refuse a threshold that is not a nonnegative int."""
+    if not isinstance(r, int):
+        raise PreconditionError(f"threshold r must be an int, not {r!r}")
     if r < 0:
         raise PreconditionError("threshold r must be nonnegative")
+
+
+def _vertex_ids(count: int, r: int, seed) -> list[int]:
+    check_threshold(r)
+    out = list(seed)
+    for v in out:
+        if not (isinstance(v, int) and 0 <= v < count):
+            raise PreconditionError(f"seed vertex {v!r} not in graph")
+    return out
+
+
+def _edge_pair(e) -> tuple[int, int]:
+    """The two ends of seed edge ``e``; PreconditionError unless it is a pair of ints."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        u = v = None
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise PreconditionError(f"seed edge {e!r} is not a pair of ints")
+    return u, v
+
+
+def _not_an_edge(u: int, v: int) -> PreconditionError:
+    return PreconditionError(f"seed edge {(min(u, v), max(u, v))} not in graph")
 
 
 # The size cap of a CSR graph: vertices + 2*edges slots.  Rows take 4

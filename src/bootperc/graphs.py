@@ -22,6 +22,9 @@ neighbors sit in a row depends only on the coordinates before i, so
 make_hamming fills, for each such prefix and each digit c, the matching
 slot of every row under the prefix with one strided slice assignment
 from the run of vertices whose coordinate i is c.
+
+Graph files ("p" and "e" lines) and seed files ("v" and "e" lines) are
+read here through one line reader, and seed files are written here.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from bootperc.errors import DEFAULT_SLOT_CAP, FormatError, PreconditionError, ResourceLimitError
 from bootperc.hamming import HammingSpace, _read_only
@@ -273,36 +276,51 @@ def make_line_graph(g: Graph) -> Graph:
     return Graph(g.edge_count, _offsets(line_degrees), targets)
 
 
+def _records(text: str, fields: dict[str, int]) -> Iterator[tuple[int, str, list[int] | None]]:
+    """(line number, tag, integer fields) of each line not blank or a "#" comment.
+
+    The fields are None unless ``fields``, read at each line, gives the tag and their number.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tag, *rest = line.split()
+        try:
+            numbers = [int(x) for x in rest] if len(rest) == fields.get(tag) else None
+        except ValueError:
+            raise FormatError(f"line {lineno}: expected integers in {line!r}") from None
+        yield lineno, tag, numbers
+
+
 def graph_from_text(text: str) -> Graph:
     """Parse "p <vertices> <edges>", then one "e <u> <v>" line per edge, in any order.
 
     Blank and "#" lines are skipped.  The size the p line declares
     passes the slot guard before any edge is stored.
     """
-    header: tuple[int, int] | None = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+    header: list[int] | None = None
+    edges: list[list[int]] = []
+    fields = {"p": 2}
+    for lineno, tag, numbers in _records(text, fields):
+        if tag == "p":
             if header is not None:
                 raise FormatError(f"line {lineno}: duplicate p line")
-            if len(parts) != 3:
+            if numbers is None:
                 raise FormatError(f"line {lineno}: expected 'p <vertices> <edges>'")
-            header = _int_pair(parts, lineno)
+            header = numbers
+            fields["e"] = fields.pop("p")  # e lines may follow; a second p line is a duplicate
             if min(header) < 0:
                 raise FormatError(f"line {lineno}: negative count in p line")
             _check_slots("graph file", *header)
-        elif parts[0] == "e":
+        elif tag == "e":
             if header is None:
                 raise FormatError(f"line {lineno}: e line before p line")
-            if len(parts) != 3:
+            if numbers is None:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append(_int_pair(parts, lineno))
+            edges.append(numbers)
         else:
-            raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+            raise FormatError(f"line {lineno}: unknown record {tag!r}")
     if header is None:
         raise FormatError("missing p line")
     try:
@@ -316,8 +334,22 @@ def graph_from_text(text: str) -> Graph:
     return g
 
 
-def _int_pair(parts: list[str], lineno: int) -> tuple[int, int]:
-    try:
-        return int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(f"line {lineno}: expected integers in {' '.join(parts)!r}") from None
+def seed_to_text(vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()) -> str:
+    """Serialize a seed: one "v <i>" or "e <u> <v>" line per element, sorted."""
+    lines = [f"v {v}" for v in sorted(set(vertices))]
+    lines += [f"e {u} {v}" for u, v in sorted({normalize_edge(u, v) for u, v in edges})]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def seed_from_text(text: str) -> tuple[frozenset[int], frozenset[Edge]]:
+    """Parse a seed file into (vertex set, edge set); blank and "#" lines are skipped."""
+    vertices: set[int] = set()
+    edges: set[Edge] = set()
+    for lineno, tag, numbers in _records(text, {"v": 1, "e": 2}):
+        if numbers is None:
+            raise FormatError(f"line {lineno}: expected 'v <i>' or 'e <u> <v>'")
+        if tag == "v":
+            vertices.add(numbers[0])
+        else:
+            edges.add(normalize_edge(*numbers))
+    return frozenset(vertices), frozenset(edges)

@@ -30,6 +30,8 @@ class HammingSpace:
     d: int
 
     def __init__(self, n: int, d: int) -> None:
+        if not (isinstance(n, int) and isinstance(d, int)):
+            raise PreconditionError(f"HammingSpace needs int n and d, not {n!r} and {d!r}")
         if n < 1 or d < 1:
             raise PreconditionError("HammingSpace needs n >= 1 and d >= 1")
         vars(self).update(n=n, d=d)

@@ -16,8 +16,8 @@ pass into its one copy, a list of seed neighbours per vertex.  Their
 rounds are the CSR kernel's, and :func:`check_packed` bounds their memory
 and work per round up front.
 
-The CSR kernel of :mod:`bootperc.engine` makes the same seed checks, read
-from here.
+Its seed checks are the CSR kernel's, both read from :mod:`bootperc.errors`,
+so a malformed seed element gets the same message from either kernel.
 """
 
 from __future__ import annotations
@@ -26,42 +26,13 @@ from collections import defaultdict
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from bootperc.errors import (
-    PROCESSES,
-    PreconditionError,
-    ResourceLimitError,
-    check_process,
-    check_threshold,
-)
+from bootperc.errors import PROCESSES, PreconditionError, ResourceLimitError, check_process
+from bootperc.errors import _edge_pair, _not_an_edge, _vertex_ids, check_threshold
 
 if TYPE_CHECKING:
     from bootperc.hamming import HammingSpace
 
 _VERTEX, _STAR, _LINE = PROCESSES
-
-
-def _vertex_ids(count: int, r: int, seed: Iterable[int]) -> list[int]:
-    check_threshold(r)
-    out = list(seed)
-    for v in out:
-        if not (isinstance(v, int) and 0 <= v < count):
-            raise PreconditionError(f"seed vertex {v!r} not in graph")
-    return out
-
-
-def _edge_pair(e) -> tuple[int, int]:
-    """The two ends of seed edge ``e``; PreconditionError unless it is a pair of ints."""
-    try:
-        u, v = e
-    except (TypeError, ValueError):
-        u = v = None
-    if not (isinstance(u, int) and isinstance(v, int)):
-        raise PreconditionError(f"seed edge {e!r} is not a pair of ints")
-    return u, v
-
-
-def _not_an_edge(u: int, v: int) -> PreconditionError:
-    return PreconditionError(f"seed edge {(min(u, v), max(u, v))} not in graph")
 
 
 # Besides its d digit masks, a packed closure holds the count, the active

@@ -674,12 +674,21 @@ class TestStartup:
             (["search", "Kn:6", "--r", "4", "--process", "line"], "hamming graphs oracle"),
             # graphs reads its read-only helper from hamming, so a file also runs it
             (["search", "c4.txt", "--r", "2", "--process", "vertex"], "hamming graphs oracle"),
+            # construct writes the seed file with graphs, and runs neither kernel
+            (["construct", "--family", "c", "--n", "9", "--r", "8", "--d", "5"],
+             "hamming graphs constructions"),
+            (["construct", "--family", "line", "--n", "9", "--r", "6"],
+             "hamming graphs formulas constructions"),
+            # simulate runs the CSR kernel alone, not the packed one
+            (["simulate", "Kn:5", "--r", "1", "--seed", "edge.seed", "--process", "star"],
+             "hamming graphs engine"),
         ],
         ids=["verify", "verify-star", "verify-line", "dimw", "dimw-hamming", "search",
-             "search-file"],
+             "search-file", "construct", "construct-line", "simulate-edges"],
     )
     def test_each_command_runs_only_its_layers(self, tmp_path, argv, layers):
         (tmp_path / "c4.txt").write_text("p 4 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")
+        (tmp_path / "edge.seed").write_text("e 0 1\n")
         code = f"import bootperc.cli; bootperc.cli.main({argv!r}); {EXECUTED_LAYERS}"
         assert run_python(code, cwd=tmp_path).splitlines()[-1] == layers
 
@@ -717,12 +726,12 @@ class TestStartup:
 PUBLIC_NAMES = {
     "constructions": ("carved_corner_set", "carved_region", "line_seed", "simplex_corner_set",
                       "simplex_region", "star_seed_hamming", "vertex_seed_dim2"),
-    "engine": ("ActivationTrace", "is_percolating", "percolate", "seed_from_text", "seed_to_text",
-               "trace_to_jsonable"),
+    "engine": ("ActivationTrace", "is_percolating", "percolate", "trace_to_jsonable"),
     "errors": ("FormatError", "PreconditionError", "ResourceLimitError"),
     "formulas": ("min_seed_hamming_bounds", "min_seed_hamming_dim2", "min_seed_line_complete",
                  "weak_saturation_hamming"),
-    "graphs": ("Graph", "graph_from_text", "make_complete", "make_hamming", "make_line_graph"),
+    "graphs": ("Graph", "graph_from_text", "make_complete", "make_hamming", "make_line_graph",
+               "seed_from_text", "seed_to_text"),
     "hamming": ("HammingSpace",),
     "oracle": ("SearchResult", "min_percolating"),
     "packed": ("is_percolating_hamming",),

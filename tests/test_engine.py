@@ -3,15 +3,23 @@ import random
 
 import pytest
 
-from bootperc.engine import (
-    is_percolating,
-    percolate,
+from bootperc.constructions import (
+    carved_corner_set,
+    line_seed,
+    simplex_corner_set,
+    star_seed_hamming,
+    vertex_seed_dim2,
+)
+from bootperc.engine import is_percolating, percolate, trace_to_jsonable
+from bootperc.errors import FormatError, PreconditionError
+from bootperc.graphs import (
+    Graph,
+    make_complete,
+    make_hamming,
+    make_line_graph,
     seed_from_text,
     seed_to_text,
-    trace_to_jsonable,
 )
-from bootperc.errors import FormatError, PreconditionError
-from bootperc.graphs import Graph, make_complete, make_hamming, make_line_graph
 from bootperc.hamming import HammingSpace
 from bootperc.oracle import min_percolating
 from bootperc.packed import is_percolating_hamming
@@ -166,6 +174,52 @@ class TestUnknownProcess:
     def test_is_refused(self, entry):
         with pytest.raises(PreconditionError, match="unknown process 'bogus'"):
             entry("bogus")
+
+
+THRESHOLD_CALLERS = {
+    **{
+        f"{entry.__name__}-{process}": (
+            lambda r, entry=entry, process=process: entry(make_complete(4), r, process, [])
+        )
+        for entry in (percolate, is_percolating)
+        for process in ("vertex", "star", "line")
+    },
+    **{
+        f"is_percolating_hamming-{process}": (
+            lambda r, process=process: is_percolating_hamming(HammingSpace(4, 1), r, process, [])
+        )
+        for process in ("vertex", "star", "line")
+    },
+    "min_percolating": lambda r: min_percolating(make_complete(4), r, "vertex"),
+    "vertex_seed_dim2": lambda r: vertex_seed_dim2(5, r),
+    "simplex_corner_set": lambda r: simplex_corner_set(5, r, 2),
+    "carved_corner_set": lambda r: carved_corner_set(5, r, 2),
+    "star_seed_hamming": lambda r: star_seed_hamming(5, r, 2),
+    "line_seed": lambda r: line_seed(8, r),
+}
+
+
+class TestThresholdType:
+    """Every entry point that takes a threshold refuses one that is not an int."""
+
+    @pytest.mark.parametrize("caller", THRESHOLD_CALLERS.values(), ids=THRESHOLD_CALLERS.keys())
+    @pytest.mark.parametrize("r", [1.5, "2", None], ids=["float", "str", "none"])
+    def test_non_int_is_refused(self, caller, r):
+        with pytest.raises(PreconditionError) as exc:
+            caller(r)
+        assert str(exc.value) == f"threshold r must be an int, not {r!r}"
+
+    @pytest.mark.parametrize("caller", THRESHOLD_CALLERS.values(), ids=THRESHOLD_CALLERS.keys())
+    def test_negative_keeps_its_message(self, caller):
+        with pytest.raises(PreconditionError) as exc:
+            caller(-1)
+        assert str(exc.value) == "threshold r must be nonnegative"
+
+    def test_bool_is_an_int(self):
+        k4 = make_complete(4)
+        assert percolate(k4, True, "vertex", [0]) == percolate(k4, 1, "vertex", [0])
+        assert is_percolating_hamming(HammingSpace(4, 1), True, "star", [(0, 1)])
+        assert line_seed(8, True) == line_seed(8, 1)
 
 
 class TestTraceInvariants:
@@ -336,6 +390,17 @@ class TestSeedFiles:
             seed_from_text("w 1\n")
         with pytest.raises(FormatError):
             seed_from_text("v 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text", ["w x\n", "v zz 3\n", "e 0\n"], ids=["unknown-tag", "v-field-count", "e-field-count"]
+    )
+    def test_shape_is_checked_before_the_integers(self, text):
+        with pytest.raises(FormatError) as exc:
+            seed_from_text(text)
+        assert str(exc.value) == "line 1: expected 'v <i>' or 'e <u> <v>'"
+
+    def test_skips_blank_and_comment_lines(self):
+        assert seed_from_text("# seed\n\n  v 3\n\te 2 1\n") == ({3}, {(1, 2)})
 
     def test_non_integer_token_names_its_line(self):
         with pytest.raises(FormatError, match="line 2:"):

@@ -105,6 +105,17 @@ class TestHammingSpace:
         with pytest.raises(PreconditionError):
             HammingSpace(2, 0)
 
+    @pytest.mark.parametrize(
+        "n,d",
+        [(3.0, 2), ("3", 2), (3, 2.0), (3, None)],
+        ids=["float-n", "str-n", "float-d", "none-d"],
+    )
+    def test_rejects_params_that_are_not_ints(self, n, d):
+        # a float n would give float strides, and encode((1, 1)) the float id 4.0
+        with pytest.raises(PreconditionError) as exc:
+            HammingSpace(n, d)
+        assert str(exc.value) == f"HammingSpace needs int n and d, not {n!r} and {d!r}"
+
     def test_adjacent_iff_one_coordinate_differs(self):
         sp = HammingSpace(3, 2)
         g = make_hamming(sp)
@@ -305,3 +316,23 @@ class TestParseErrors:
     def test_non_integer_token_names_its_line(self, text, line):
         with pytest.raises(FormatError, match=f"line {line}:"):
             graph_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("e x y\np 2 1\n", "line 1: e line before p line"),
+            ("p 2 1\np a b\n", "line 2: duplicate p line"),
+            ("p 2 1\np 2\n", "line 2: duplicate p line"),
+            ("x a b\n", "line 1: unknown record 'x'"),
+            ("p edge 4 4\n", "line 1: expected 'p <vertices> <edges>'"),
+            ("p 2 1\ne 0 x 1\n", "line 2: expected 'e <u> <v>'"),
+            ("p 2 1\ne 0 x\n", "line 2: expected integers in 'e 0 x'"),
+        ],
+        ids=["e-before-p", "second-p", "second-short-p", "unknown-record", "p-field-count",
+             "e-field-count", "non-integer"],
+    )
+    def test_a_line_is_checked_in_order(self, text, reason):
+        # the record, then where it may stand, then its field count, then the integers
+        with pytest.raises(FormatError) as exc:
+            graph_from_text(text)
+        assert str(exc.value) == reason

@@ -346,6 +346,20 @@ class TestSeedValidation:
         self.refused(process, (0.0, 1))
 
     @pytest.mark.parametrize("process", ["vertex", "star", "line"])
+    @pytest.mark.parametrize(
+        "element",
+        [9, -1, 1.0, (0.0, 1), ("a", 1), (0, 1, 2), None, (0, 4), (2, 2)],
+        ids=["vertex-9", "vertex-minus-1", "float-vertex", "float-pair", "str-pair", "triple",
+             "none", "non-adjacent-pair", "loop"],
+    )
+    def test_both_kernels_refuse_alike(self, process, element):
+        # one set of checks serves both kernels: vertex and star on K_3^2, line on K_4;
+        # (0, 4) joins (0, 0) and (1, 1) on K_3^2 and leaves K_4
+        n, d = (4, 1) if process == "line" else (3, 2)
+        packed, csr = self.messages(n, d, 1, process, [element])
+        assert packed == csr
+
+    @pytest.mark.parametrize("process", ["vertex", "star", "line"])
     def test_negative_threshold(self, process):
         got = self.messages(4, 1, -1, process, [])
         assert got == ("threshold r must be nonnegative",) * 2
