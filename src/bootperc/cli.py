@@ -5,15 +5,28 @@ are given either as a file in the text format or as a family spec
 ("Kn:4", "Hamming:4,2", "LineK:5").  Exit status 2 marks usage errors,
 1 marks rejected preconditions or resource guards (with a JSON reason
 on stderr), 0 everything else.
+
+Each command's arguments are written once, in ``COMMANDS``.  ``main``
+reads a well-formed command line with a strict parser of that table:
+the exact command name, then exact long flags (no abbreviation, no
+``=``, no ``-h``), each at most once, every required option and the
+exact number of positionals, and each value non-empty, not starting
+with ``-``, of ASCII digits for an int and from the list for a choice.
+Anything else goes to the ``argparse`` parser that :func:`build_parser`
+builds from the same table, which prints every help text and usage
+error, and reads every other form argparse accepts (abbreviations,
+``--r=4``, repeated flags, ``--cap -1``) to the same namespace.  So a
+well-formed command loads neither ``argparse`` nor, when its payload
+is a dict of ints, None and lists of them, ``json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from bootperc import constructions, engine, formulas, graphs, hamming, oracle, packed, polymethod
@@ -26,6 +39,7 @@ from bootperc.errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
 KNOWN_FAMILIES = ("Kn", "Hamming", "LineK")
@@ -73,9 +87,26 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(obj: object) -> str:
-    import json  # loaded by the first JSON printed: verify, construct and table print none
+    """``json.dumps(obj)``; a dict of plain ASCII names to :func:`_plain` values needs no json."""
+    if type(obj) is dict and all(type(k) is str and k.isascii() and k.isidentifier() for k in obj):
+        values = [_plain(v) for v in obj.values()]
+        if None not in values:
+            return "{" + ", ".join(f'"{k}": {v}' for k, v in zip(obj, values)) + "}"
+    import json  # error reasons, traces and other payloads: loaded by the first one printed
 
     return json.dumps(obj)
+
+
+def _plain(x: object) -> str | None:
+    """The JSON of an int, None, or a list or tuple of these (nested); None for anything else."""
+    if type(x) is int:
+        return str(x)
+    if x is None:
+        return "null"
+    if type(x) is list or type(x) is tuple:
+        items = [_plain(v) for v in x]
+        return None if None in items else "[" + ", ".join(items) + "]"
+    return None
 
 
 # family: (process, dimension when --d is omitted, seed builder taking (n, r, d))
@@ -243,15 +274,67 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = ("simulate", "construct", "verify", "table", "dimw", "search")
+# command: (help, function, arguments); each argument is (flag, type,
+# required, default, help), in the order argparse lists them.  A flag
+# without "--" is a positional.  The type is int, str, a tuple of
+# choices, or bool for a store_true switch; the dest is the flag's name
+# with "-" read as "_", as argparse derives it.
+COMMANDS = {
+    "simulate": ("run a percolation process and print the trace", cmd_simulate, (
+        ("graph", str, True, None, "graph file or family spec (Kn:4, Hamming:4,2, LineK:5)"),
+        ("--r", int, True, None, "activation threshold"),
+        ("--seed", str, True, None, "seed file (v/e lines)"),
+        ("--process", PROCESSES, True, None, None),
+        ("--out", str, False, None, "write the trace JSON here instead of stdout"),
+    )),
+    "construct": ("emit a percolating-seed construction", cmd_construct, (
+        ("--family", tuple(_FAMILIES), True, None, None),
+        ("--n", int, True, None, None),
+        ("--r", int, True, None, None),
+        ("--d", int, False, None, None),
+        ("--out", str, False, None, "write the seed file here instead of stdout"),
+    )),
+    "verify": ("construct a seed and check it percolates", cmd_verify, (
+        ("--family", tuple(_FAMILIES), True, None, None),
+        ("--n", int, True, None, None),
+        ("--r", int, True, None, None),
+        ("--d", int, False, None, None),
+    )),
+    "table": ("CSV of bounds, construction size and exact values", cmd_table, (
+        ("--d", int, True, None, None),
+        ("--rmax", int, True, None, None),
+        ("--n", int, False, None, "fixed alphabet size (default: r+1 per row)"),
+        ("--jobs", int, False, 1, None),
+        ("--out", str, False, None, "write the CSV here instead of stdout"),
+    )),
+    "dimw": ("dimension of the recognized edge-function space", cmd_dimw, (
+        ("graph", str, True, None, "graph file or family spec"),
+        ("--r", int, True, None, None),
+        ("--generators", str, False, None,
+         "comma-separated vertex generators for the product coloring (default: primes)"),
+        ("--details", bool, False, False, "include matrix dimensions"),
+        ("--out", str, False, None, None),
+    )),
+    "search": ("exhaustive minimum percolating seed", cmd_search, (
+        ("graph", str, True, None, "graph file or family spec"),
+        ("--r", int, True, None, None),
+        ("--process", PROCESSES, True, None, None),
+        ("--jobs", int, False, 1, None),
+        ("--max-calls", int, False, None, None),
+        ("--cap", int, False, None, "vertex or edge search cap (default by process)"),
+        ("--out", str, False, None, None),
+    )),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser: every subcommand, or only ``command``'s when it names one.
+    """The argparse parser of ``COMMANDS``: every subcommand, or only ``command``'s if it names one.
 
     A parser of one subcommand still names all of them in its usage line,
     so for that command it prints what the full parser prints.
     """
+    import argparse  # only help, usage errors and forms the strict parser refuses load it
+
     parser = argparse.ArgumentParser(
         prog="bootperc",
         description="Bootstrap percolation processes, seed constructions and exact bounds.",
@@ -260,76 +343,80 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None
     )
-
-    def wanted(name: str) -> bool:
-        return not one or name == command
-
-    if wanted("simulate"):
-        p = sub.add_parser("simulate", help="run a percolation process and print the trace")
-        p.add_argument("graph", help="graph file or family spec (Kn:4, Hamming:4,2, LineK:5)")
-        p.add_argument("--r", type=int, required=True, help="activation threshold")
-        p.add_argument("--seed", required=True, help="seed file (v/e lines)")
-        p.add_argument("--process", choices=PROCESSES, required=True)
-        p.add_argument("--out", help="write the trace JSON here instead of stdout")
-        p.set_defaults(fn=cmd_simulate)
-
-    if wanted("construct"):
-        p = sub.add_parser("construct", help="emit a percolating-seed construction")
-        p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--d", type=int)
-        p.add_argument("--out", help="write the seed file here instead of stdout")
-        p.set_defaults(fn=cmd_construct)
-
-    if wanted("verify"):
-        p = sub.add_parser("verify", help="construct a seed and check it percolates")
-        p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--d", type=int)
-        p.set_defaults(fn=cmd_verify)
-
-    if wanted("table"):
-        p = sub.add_parser("table", help="CSV of bounds, construction size and exact values")
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--rmax", type=int, required=True)
-        p.add_argument("--n", type=int, help="fixed alphabet size (default: r+1 per row)")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", help="write the CSV here instead of stdout")
-        p.set_defaults(fn=cmd_table)
-
-    if wanted("dimw"):
-        p = sub.add_parser("dimw", help="dimension of the recognized edge-function space")
-        p.add_argument("graph", help="graph file or family spec")
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument(
-            "--generators",
-            help="comma-separated vertex generators for the product coloring (default: primes)",
-        )
-        p.add_argument("--details", action="store_true", help="include matrix dimensions")
-        p.add_argument("--out")
-        p.set_defaults(fn=cmd_dimw)
-
-    if wanted("search"):
-        p = sub.add_parser("search", help="exhaustive minimum percolating seed")
-        p.add_argument("graph", help="graph file or family spec")
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--process", choices=PROCESSES, required=True)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--max-calls", type=int)
-        p.add_argument("--cap", type=int, help="vertex or edge search cap (default by process)")
-        p.add_argument("--out")
-        p.set_defaults(fn=cmd_search)
-
+    for name, (help_, fn, arguments) in COMMANDS.items():
+        if one and name != command:
+            continue
+        p = sub.add_parser(name, help=help_)
+        for flag, kind, required, default, text in arguments:
+            kwargs: dict[str, object] = {"default": default, "help": text}
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            elif kind is int:
+                kwargs["type"] = int
+            elif kind is not str:
+                kwargs["choices"] = kind
+            if flag.startswith("-"):
+                kwargs["required"] = required
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
+
+
+def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns for a well-formed ``argv``, else None.
+
+    Well-formed is the subset of the argparse syntax the module
+    docstring lists; on it both parsers give the same attributes.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, arguments = COMMANDS[argv[0]]
+    options = {a[0]: a for a in arguments if a[0].startswith("-")}
+    given: dict[str, object] = {}
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in options or token in given:
+            return None
+        kind = options[token][1]
+        if kind is bool:
+            given[token] = True
+            continue
+        value = next(tokens, "")
+        if value[:1] in ("", "-"):
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                given[token] = int(value)
+            except ValueError:  # more digits than int() reads
+                return None
+        elif kind is str or value in kind:
+            given[token] = value
+        else:
+            return None
+    names = [a[0] for a in arguments if not a[0].startswith("-")]
+    if len(positionals) != len(names) or "" in positionals:
+        return None
+    given.update(zip(names, positionals))
+    values: dict[str, object] = {"command": argv[0], "fn": fn}
+    for flag, _, required, default, _ in arguments:
+        if required and flag not in given:
+            return None
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a run parses one command: its parser alone is half the cost of all six
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = _parse_strict(argv)
+    if args is None:
+        # a run parses one command: its parser alone is half the cost of all six
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except (PreconditionError, FormatError, ResourceLimitError, OSError) as exc:

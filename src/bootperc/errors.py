@@ -32,10 +32,15 @@ def check_process(process: str) -> None:
         raise PreconditionError(f"unknown process {process!r}")
 
 
+def check_int(name: str, value: int) -> None:
+    """Refuse a ``value`` that is not an int, naming it ``name``."""
+    if not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an int, not {value!r}")
+
+
 def check_threshold(r: int) -> None:
     """Refuse a threshold that is not a nonnegative int."""
-    if not isinstance(r, int):
-        raise PreconditionError(f"threshold r must be an int, not {r!r}")
+    check_int("threshold r", r)
     if r < 0:
         raise PreconditionError("threshold r must be nonnegative")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import TYPE_CHECKING
 
-from bootperc.errors import PreconditionError
+from bootperc.errors import PreconditionError, check_int, check_threshold
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -20,8 +20,10 @@ def min_seed_hamming_dim2(n: int, r: int) -> int:
     n^2 when n <= ceil(r/2) (every degree is below r, nothing ever
     activates), floor((r+1)^2/4) otherwise.
     """
-    if n < 1 or r < 0:
-        raise PreconditionError("need n >= 1 and r >= 0")
+    check_int("n", n)
+    check_threshold(r)
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     if n <= -(-r // 2):  # ceil(r/2)
         return n * n
     return (r + 1) ** 2 // 4
@@ -33,6 +35,9 @@ def weak_saturation_hamming(n: int, r: int, d: int) -> int:
     Proven only for n >= r+1; smaller n is rejected rather than
     extrapolated.
     """
+    check_int("n", n)
+    check_int("d", d)
+    check_threshold(r)
     if d < 1 or r < 1:
         raise PreconditionError("need d >= 1 and r >= 1")
     if n <= r:
@@ -46,8 +51,10 @@ def min_seed_line_complete(n: int, r: int) -> int:
     floor((r+2)^2/8) when n >= ceil(r/2)+2; otherwise the line graph is
     too sparse to percolate at all and the answer is C(n, 2).
     """
-    if n < 2 or r < 0:
-        raise PreconditionError("need n >= 2 and r >= 0")
+    check_int("n", n)
+    check_threshold(r)
+    if n < 2:
+        raise PreconditionError("need n >= 2")
     if n >= -(-r // 2) + 2:  # ceil(r/2) + 2
         return (r + 2) ** 2 // 8
     return comb(n, 2)
@@ -61,6 +68,9 @@ def min_seed_hamming_bounds(n: int, r: int, d: int) -> tuple[Fraction, Fraction]
     (r-2)^d)/(2 d!) with delta = (d-2)/(d-1).  Valid for n >= r+1,
     d >= 2, r >= 1.
     """
+    check_int("n", n)
+    check_int("d", d)
+    check_threshold(r)
     if d < 2 or r < 1:
         raise PreconditionError("need d >= 2 and r >= 1")
     if n <= r:

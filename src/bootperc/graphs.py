@@ -35,7 +35,13 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
-from bootperc.errors import DEFAULT_SLOT_CAP, FormatError, PreconditionError, ResourceLimitError
+from bootperc.errors import (
+    DEFAULT_SLOT_CAP,
+    FormatError,
+    PreconditionError,
+    ResourceLimitError,
+    check_int,
+)
 from bootperc.hamming import HammingSpace, _read_only
 
 Edge = tuple[int, int]
@@ -96,11 +102,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        check_int("vertex_count", vertex_count)
         if vertex_count < 0:
             raise PreconditionError("vertex_count must be nonnegative")
         _check_slots("graph", vertex_count, 0)
         keys: set[int] = set()  # u*vertex_count + v with u < v: sorts lexicographically
         for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise PreconditionError(f"edge ({u!r},{v!r}) is not a pair of ints")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from bootperc.errors import PreconditionError, ResourceLimitError
+from bootperc.errors import PreconditionError, ResourceLimitError, check_int, check_threshold
 from bootperc.graphs import Graph, make_hamming
 from bootperc.hamming import HammingSpace
 from bootperc.linalg import mat_rank
@@ -224,6 +224,7 @@ def recognized_space_report(
     checked before any row is built, then each color's type and the
     properness, by :func:`is_proper_coloring`.
     """
+    check_int("threshold r", r)
     if r <= 0:
         return DimReport(0, 0, 0, 0)
     _check_cost(g.vertex_count, g.edge_count, r, cost_cap)
@@ -248,6 +249,7 @@ def recognized_space_dim_hamming(
     from (n, d) before the graph is built: an n^d past the cap already
     costs more than the cap.
     """
+    check_threshold(r)
     if d < 1 or r < 1:
         raise PreconditionError("need d >= 1 and r >= 1")
     space = HammingSpace(n, d)

@@ -11,10 +11,12 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bootperc
 from bootperc import oracle
-from bootperc.cli import COMMANDS, build_parser, load_graph, main
+from bootperc.cli import COMMANDS, _json, _parse_strict, build_parser, load_graph, main
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, make_complete, make_hamming
 from bootperc.hamming import HammingSpace
@@ -438,6 +440,119 @@ class TestParserOfOneCommand:
         assert re.search(r"invalid choice: 'dimw' \(choose from '?verify'?\)$", printed.err)
 
 
+# values of every type, some that argparse reads another way and some it refuses
+ODD_VALUES = ["-1", "０", "²", "0x10", "1_0", " 5", "+3", "", "-", "--", "-h", "--out", "edge",
+              "x=y", "0" * 5000]
+# tokens the strict parser leaves to argparse: help, "--", abbreviations, "=" and strays
+ODD_TOKENS = ["-h", "--help", "--", "--proc", "--fam", "--ma", "--r=4", "--process=star",
+              "--details", "--bogus", "extra", "search"]
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed argv of one command, with its arguments in any order and some noise."""
+    command = draw(st.sampled_from([*COMMANDS, "sea", "bogus"]))
+    groups = []
+    for flag, kind, required, _, _ in COMMANDS.get(command, (None, None, ()))[2]:
+        if not draw(st.booleans()) and not (required and draw(st.integers(0, 9))):
+            continue
+        if kind is int:
+            good = st.integers(0, 40).map(str)
+        elif kind is str:
+            good = st.sampled_from(["Kn:4", "g.txt", "1,2,3", "a b"])
+        elif kind is bool:
+            groups.append([flag])
+            continue
+        else:
+            good = st.sampled_from(kind)
+        value = draw(good if draw(st.integers(0, 7)) else st.sampled_from(ODD_VALUES))
+        groups.append([value] if not flag.startswith("-") else [flag, value])
+    groups = draw(st.permutations(groups))
+    if groups and not draw(st.integers(0, 5)):
+        groups.append(draw(st.sampled_from(groups)))  # a repeated flag or positional
+    argv = [command, *(token for group in groups for token in group)]
+    if not draw(st.integers(0, 2)):
+        for token in draw(st.lists(st.sampled_from(ODD_TOKENS), min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+class TestStrictParser:
+    """A well-formed command line skips argparse, and reads as argparse reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "Kn:5", "--r", "1", "--seed", "edge.seed", "--process", "star"],
+            ["construct", "--family", "line", "--n", "9", "--r", "6", "--out", "line.seed"],
+            ["verify", "--d", "5", "--r", "8", "--n", "9", "--family", "c"],
+            ["table", "--d", "3", "--rmax", "6", "--jobs", "2"],
+            ["dimw", "--details", "Kn:16", "--r", "5", "--generators", "1/2,2,3"],
+            ["search", "Kn:6", "--r", "04", "--process", "line", "--max-calls", "0", "--cap", "9"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_reads_what_argparse_reads(self, argv):
+        assert vars(_parse_strict(argv)) == vars(build_parser().parse_args(argv))
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    @example(["dimw", "Kn:4", "--r", "3", "--out", "--"])
+    @example(["search", "Kn:6", "--r", "4", "--process", "star", "--out", "-h"])
+    def test_agrees_with_argparse_whenever_it_reads(self, argv):
+        strict = _parse_strict(argv)
+        if strict is not None:
+            assert vars(strict) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["search"], ["sea", "Kn:6", "--r", "4", "--process", "star"],
+            ["search", "Kn:6", "--r", "4", "--proc", "star"],
+            ["search", "Kn:6", "--r=4", "--process", "star"],
+            ["search", "Kn:6", "--r", "4", "--process", "star", "-h"],
+            ["search", "Kn:6", "--r", "4", "--r", "4", "--process", "star"],
+            ["search", "Kn:4", "--r", "2", "--process", "line", "--cap", "-1"],
+            ["search", "Kn:6", "--r", "０", "--process", "star"],
+            ["search", "Kn:6", "--r", "4", "--process", "edge"],
+            ["search", "Kn:6", "Kn:7", "--r", "4", "--process", "star"],
+            ["search", "", "--r", "4", "--process", "star"],
+            ["search", "Kn:6", "--process", "star"],
+            ["verify", "--family", "c", "--n", "0" * 5000 + "4", "--r", "3"],
+            ["dimw", "Kn:4", "--r", "3", "--details", "--details"],
+        ],
+        ids=lambda argv: " ".join(argv)[:40],
+    )
+    def test_leaves_other_forms_to_argparse(self, argv):
+        assert _parse_strict(argv) is None
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+    | st.text(max_size=4) | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=3),
+    max_leaves=16,
+)
+json_keys = st.sampled_from(["dim", "witness", "engine_calls", "a_1", "_", "é", "1x", "a b", 'q"'])
+
+
+class TestJson:
+    @settings(max_examples=400, deadline=None)
+    @given(json_values | st.dictionaries(json_keys | st.text(max_size=4), json_values, max_size=4))
+    def test_writes_what_json_dumps_writes(self, x):
+        assert _json(x) == json.dumps(x)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"minimum": 4, "witness": [(0, 1), (0, 2)], "engine_calls": 622}, {"dim": -1},
+         {"minimum": None, "witness": None, "engine_calls": 10**40}, {}],
+    )
+    def test_plain_payloads_need_no_json(self, payload, monkeypatch):
+        monkeypatch.setitem(sys.modules, "json", None)  # importing json would raise
+        assert _json(payload) == json.dumps(payload)
+
+
 class TestRejectedInput:
     """Bad files and oversized requests exit 1 with a JSON reason, no traceback."""
 
@@ -651,7 +766,7 @@ class TestStartup:
     def test_import_footprint(self):
         loaded = set(run_python("import sys, bootperc.cli; print(*sys.modules)").split())
         heavy = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging",
-                 "fractions", "decimal", "numbers", "csv", "json"}
+                 "fractions", "decimal", "numbers", "csv", "json", "argparse", "gettext"}
         assert sorted(heavy & loaded) == []
         # every layer is in sys.modules, where the benchmark's tracer reads it
         assert sorted({f"bootperc.{m}" for m in LAYERS} - loaded) == []
@@ -691,6 +806,46 @@ class TestStartup:
         (tmp_path / "edge.seed").write_text("e 0 1\n")
         code = f"import bootperc.cli; bootperc.cli.main({argv!r}); {EXECUTED_LAYERS}"
         assert run_python(code, cwd=tmp_path).splitlines()[-1] == layers
+
+    def test_benchmark_commands_load_neither_argparse_nor_json(self, tmp_path):
+        # the benchmark's CLI jobs; its seeded search reads K_5^2 from a file
+        edges = make_hamming(HammingSpace(5, 2)).edge_list()
+        text = f"p 25 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+        (tmp_path / "h52.txt").write_text(text)
+        vertex = ["search", "h52.txt", "--r", "4", "--process", "vertex"]
+        argvs = [
+            ["verify", "--family", "c", "--n", "9", "--r", "8", "--d", "5"],
+            ["verify", "--family", "star", "--n", "20", "--r", "19", "--d", "3"],
+            ["verify", "--family", "line", "--n", "200", "--r", "100"],
+            ["dimw", "Kn:16", "--r", "5", "--details"],
+            ["dimw", "Hamming:3,3", "--r", "2", "--details"],
+            ["dimw", "Hamming:4,2", "--r", "3", "--details"],
+            vertex + ["--jobs", "1"],
+            vertex + ["--jobs", "2"],
+            ["search", "Hamming:3,2", "--r", "3", "--process", "star"],
+            ["search", "Kn:6", "--r", "4", "--process", "star"],
+            ["search", "Kn:6", "--r", "4", "--process", "line"],
+            ["search", "LineK:6", "--r", "6", "--process", "vertex"],
+        ]
+        code = (
+            f"import sys, bootperc.cli; print([bootperc.cli.main(a) for a in {argvs!r}]); "
+            "print('loaded:', *sorted({'argparse', 'json'} & set(sys.modules)))"
+        )
+        lines = run_python(code, cwd=tmp_path).splitlines()
+        assert lines[-2:] == [str([0] * len(argvs)), "loaded:"]
+        assert lines[3] == (
+            '{"dim": 15, "constraint_rows": 120, "constraint_cols": 80, "kernel_dim": 15}'
+        )
+        assert json.loads(lines[6])["minimum"] == 6
+
+    def test_other_spellings_print_what_the_canonical_one_prints(self, capsys):
+        assert main(["search", "Kn:6", "--r", "4", "--process", "star"]) == 0
+        canonical = capsys.readouterr()
+        for argv in (["search", "Kn:6", "--proc", "star", "--r=4"],
+                     ["search", "--r", "4", "--process=star", "Kn:6"]):
+            assert _parse_strict(argv) is None  # argparse reads it
+            assert main(argv) == 0
+            assert capsys.readouterr() == canonical
 
     @pytest.mark.parametrize(
         "code,answer",

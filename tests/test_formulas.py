@@ -36,6 +36,23 @@ class TestClosedForms:
         assert min_seed_line_complete(9, 0) == 0
         assert min_seed_line_complete(4, 1) == 1
 
+    @pytest.mark.parametrize("bad", [2.5, "2", None], ids=["float", "str", "None"])
+    @pytest.mark.parametrize(
+        "formula,args",
+        [
+            (min_seed_hamming_dim2, (4, 2)),
+            (min_seed_line_complete, (9, 2)),
+            (weak_saturation_hamming, (4, 2, 2)),
+            (min_seed_hamming_bounds, (4, 2, 2)),
+        ],
+        ids=["dim2", "line", "wsat", "bounds"],
+    )
+    def test_refuses_a_size_or_threshold_that_is_not_an_int(self, formula, args, bad):
+        # a float r used to give the float 3.0 (dim2) or 2.0 (line), not an error
+        for i in range(len(args)):
+            with pytest.raises(PreconditionError, match=r"^\w+( r)? must be an int, not "):
+                formula(*args[:i], bad, *args[i + 1 :])
+
     def test_threshold_past_float_precision(self):
         # ceil(r/2) = 2^59 + 5, which float division rounds to 2^59
         r = 2**60 + 9

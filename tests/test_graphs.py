@@ -33,6 +33,14 @@ class TestGraphBasics:
         with pytest.raises(PreconditionError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "vertex_count,edges", [(3.0, []), (3, [(0.5, 1)]), (3, [(0, "1")]), ("3", [])]
+    )
+    def test_rejects_what_is_not_an_int(self, vertex_count, edges):
+        # a float count or end used to reach the CSR arrays and raise TypeError
+        with pytest.raises(PreconditionError, match="must be an int|is not a pair of ints"):
+            Graph.from_edges(vertex_count, edges)
+
     def test_handshake(self):
         rng = random.Random(11)
         for _ in range(25):

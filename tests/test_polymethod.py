@@ -154,6 +154,16 @@ class TestRecognizedSpaceDim:
                 recognized_space_report(make_complete(4), colors, 3)
         assert recognized_space_report(make_complete(4), [bad] * 6, 0) == (0, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, "2", None], ids=["float", "str", "None"])
+    def test_refuses_a_threshold_that_is_not_an_int(self, bad):
+        g = make_complete(4)
+        with pytest.raises(PreconditionError, match="^threshold r must be an int, not "):
+            recognized_space_report(g, product_coloring(4), bad)
+        with pytest.raises(PreconditionError, match="^threshold r must be an int, not "):
+            recognized_space_dim_hamming(3, bad, 2)
+        # an int r <= 0 is still the zero space
+        assert recognized_space_report(g, product_coloring(4), -2) == (0, 0, 0, 0)
+
     def test_zero_color(self):
         # a proper coloring may use 0, whose rows have zero entries for x^1 .. x^(r-1)
         assert recognized_space_report(make_complete(4), list(range(6)), 3) == (6, 6, 12, 6)
