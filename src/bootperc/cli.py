@@ -222,7 +222,13 @@ def _decimal(x: Fraction) -> str:
 
 
 def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
-    payloads = [(d, r, n if n is not None else r + 1) for r in range(1, rmax + 1)]
+    # each row's corner checks first, in row order: both fail from some
+    # r <= 2235 on, so a refused table builds no row and starts no pool
+    payloads = []
+    for r in range(1, rmax + 1):
+        row_n = n if n is not None else r + 1
+        constructions._check_corner_args(row_n, r, d)
+        payloads.append((d, r, row_n))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
 
@@ -327,25 +333,16 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argparse parser of ``COMMANDS``: every subcommand, or only ``command``'s if it names one.
-
-    A parser of one subcommand still names all of them in its usage line,
-    so for that command it prints what the full parser prints.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``."""
     import argparse  # only help, usage errors and forms the strict parser refuses load it
 
     parser = argparse.ArgumentParser(
         prog="bootperc",
         description="Bootstrap percolation processes, seed constructions and exact bounds.",
     )
-    one = command in COMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, fn, arguments) in COMMANDS.items():
-        if one and name != command:
-            continue
         p = sub.add_parser(name, help=help_)
         for flag, kind, required, default, text in arguments:
             kwargs: dict[str, object] = {"default": default, "help": text}
@@ -415,8 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_strict(argv)
     if args is None:
-        # a run parses one command: its parser alone is half the cost of all six
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (PreconditionError, FormatError, ResourceLimitError, OSError) as exc:

@@ -13,9 +13,9 @@ least size.  Edge searches run over edge ids, whose order is the
 lexicographic order of the edges, and report the witness as edge pairs.
 
 Sets of elements are Python ints, bit i standing for vertex or edge id
-i.  Each process is a list of rules (count mask, gain mask), read off
-the CSR rows; a rule fires on an active set A when
-``(count & A).bit_count() >= r`` and then adds its gain to A:
+i.  Each process is a list of rules (count ids, gain ids), read off the
+CSR rows; a rule fires on an active set A when at least r of its count
+ids are in A, and then adds its gain ids to A:
 
 * vertex process: (N(v), {v}) for every vertex v;
 * star process: (I(x), I(x)) for every vertex x, where I(x) holds the
@@ -24,12 +24,17 @@ the CSR rows; a rule fires on an active set A when
 
 The closure of a set is the least fixpoint of the rules containing it;
 a set percolates when its closure holds every element.  A least
-fixpoint does not depend on the order in which rules fire, so the
-closure is computed by worklist instead of synchronous rounds, and it
-equals the final set of ``engine.percolate``.  Only a rule whose
-count mask meets a newly active element can newly fire, so each rule
-is filed under the elements of its count mask.  With r = 0 every rule
-fires and every closure is full.
+fixpoint does not depend on the order in which rules fire, so it
+equals the final set of ``engine.percolate``.  :func:`_fixpoint` finds
+it for many sets at once, bit-sliced as in Biham's software DES: each
+element gets an int whose bit c, lane c, says whether it is active in
+the c-th set.  A rule fires in the lanes where at least r of its count
+elements are set, found by a carry chain, and ORs them into its gain
+elements; only the rules on its wake list, whose count holds a gain
+element, can then newly fire, so only they are marked to run again.
+Sweeps repeat until no rule is marked.  :func:`_close` is the one-lane
+case, starting from the rules that read a newly active element.  With
+r = 0 every rule fires and every closure is full.
 
 An element that no rule can add, even when every other element is
 active, belongs to every percolating set; these forced elements start
@@ -51,19 +56,13 @@ Within a cardinality the candidates are walked depth first:
   fails decides every later sibling as well.
 * lane-sliced leaves: once the candidates a node has left, the
   k-subsets of the free positions j..n-1 for the k elements still to
-  choose, number at most ``_LANES``, one closure decides all of them at
-  once (bit-slicing, as in Biham's software DES).  Each element gets an
-  int whose bit c, lane c, says whether the element is active in the
-  c-th of these candidates in lexicographic order: all ones for the
-  elements of the node's closure and, for a free position y, the lanes
-  of the candidates holding y (the lane tables of :func:`_lanes`).  A
-  rule fires in the lanes where at least r of its count elements are
-  set, found by a carry chain over its count elements, and ORs those
-  lanes into its gain elements; sweeps repeat the rules whose count
-  elements grew until no int changes, which is the least fixpoint in
-  every lane.  The AND of all the ints holds the lanes that percolate:
-  the lowest, c, is the witness and c + 1 the count of candidates
-  decided; with none, all of them are decided.
+  choose, number at most ``_LANES``, one :func:`_fixpoint` decides them
+  all, lane c being the c-th in lexicographic order.  An element's int
+  is all ones in the node's closure and, for a free position y, the
+  lanes of the candidates holding y (the lane tables of :func:`_lanes`).
+  The AND of the closed ints holds the lanes that percolate: the lowest,
+  c, is the witness and c + 1 the count of candidates decided; with
+  none, all of them are decided.
 
 ``engine_calls`` keeps the meaning it had when every candidate was
 handed to the engine: the number of candidates decided, in lexicographic
@@ -121,13 +120,12 @@ _WINDOW = 8
 # this; the levels before it run in this process.
 _POOL_FROM = _WINDOW * _LANES
 
-# (watch, r, full, sliced, tables): watch[i] lists the rules (count mask,
-# gain mask) whose count mask holds element i; full is the mask of every
-# element; sliced lists every rule as (count ids, gain ids, the other
-# rules whose count holds a gain id), for :func:`_leaf`; tables holds the
-# lane tables :func:`_lanes` has built so far in this search
+# (readers, r, full, sliced, tables): sliced lists every rule as (count
+# ids, gain ids, wake), wake the other rules whose count holds a gain id;
+# readers[i] the rules whose count holds element i; full the mask of every
+# element; tables the lane tables :func:`_lanes` has built in this search
 _Rules = tuple[
-    list[list[tuple[int, int]]],
+    list[list[int]],
     int,
     int,
     list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]],
@@ -156,9 +154,9 @@ def _mask(ids) -> int:
     return out
 
 
-def _rules(g: Graph, r: int, process: str) -> tuple[_Rules, list[tuple[int, int]]]:
-    """The process's rules filed for :func:`_close` and :func:`_leaf`, and
-    the flat list of their (count mask, gain mask)."""
+def _rules(g: Graph, r: int, process: str) -> _Rules:
+    """The process's rules for :func:`_fixpoint`, each with its wake list,
+    and the rules that read each element."""
     offsets = g.offsets
     if process == "vertex":
         targets = g.targets
@@ -175,49 +173,90 @@ def _rules(g: Graph, r: int, process: str) -> tuple[_Rules, list[tuple[int, int]
                 (rows[u] + tuple(f for f in rows[v] if f != e), (e,))
                 for e, (u, v) in enumerate(zip(g.tails, g.heads))
             ]
-    rule = [(_mask(count), _mask(gain)) for count, gain in ids]
     readers: list[list[int]] = [[] for _ in range(size)]
     for k, (count, _) in enumerate(ids):
         for x in count:
             readers[x].append(k)
-    # a rule that can add only x adds nothing once x is active
-    watch = [[rule[k] for k in ks if ids[k][1] != (x,)] for x, ks in enumerate(readers)]
     # a rule fires only where its count is met, so its own gain never
     # widens the lanes it fires in
     sliced = [
         (count, gain, tuple(sorted({j for x in gain for j in readers[x]} - {k})))
         for k, (count, gain) in enumerate(ids)
     ]
-    return (watch, r, (1 << size) - 1, sliced, []), rule
+    return readers, r, (1 << size) - 1, sliced, []
 
 
-def _forced(rules: list[tuple[int, int]], r: int, full: int) -> int:
+def _forced(rules: _Rules) -> int:
     """The elements no rule can add, even with every other element active."""
+    _, r, full, sliced, _ = rules
     reachable = 0
-    for count, gain in rules:
-        slack = count.bit_count() - r
-        if slack > 0:
-            reachable |= gain
-        elif slack == 0:
-            reachable |= gain & ~count
+    for count, gain, _ in sliced:
+        slack = len(count) - r
+        if slack >= 0:
+            reachable |= _mask(x for x in gain if slack or x not in count)
     return full & ~reachable
+
+
+def _fixpoint(rules: _Rules, value: list[int], ones: int, dirty: bytearray) -> None:
+    """Grow ``value``, bit c of ``value[x]`` saying whether x is active in
+    lane c of ``ones``, to the least fixpoint in every lane; a rule not
+    marked in ``dirty`` must add nothing in any lane."""
+    r, sliced = rules[1], rules[3]
+    while any(dirty):
+        for k, (counted, gain, wake) in enumerate(sliced):
+            if not dirty[k]:
+                continue
+            dirty[k] = 0
+            for x in gain:
+                if value[x] != ones:
+                    break
+            else:
+                continue  # every gain element is active in every lane
+            # fired: the lanes where at least r counted elements are active
+            counts = [value[x] for x in counted]
+            short = r - counts.count(ones)
+            if short <= 0:
+                fired = ones
+            else:
+                live = [v for v in counts if v and v != ones]
+                spare = len(live) - short
+                if spare < 0:
+                    continue
+                # carry chain: row[k] holds the lanes where more than j of
+                # live[:j + k + 1] are active; a lane that can no longer
+                # reach r is not followed
+                row = list(accumulate(live[: spare + 1], or_))
+                for j in range(1, short):
+                    row = list(accumulate(map(and_, row, live[j : j + spare + 1]), or_))
+                fired = row[-1]
+                if not fired:
+                    continue
+            grew = False
+            for x in gain:
+                v = value[x]
+                after = v | fired
+                if after != v:
+                    value[x] = after
+                    grew = True
+            if grew:
+                for w in wake:
+                    dirty[w] = 1
 
 
 def _close(rules: _Rules, active: int, fresh: int) -> int:
     """The closure of ``active``, given that ``active & ~fresh`` is closed."""
-    watch, r, full, _, _ = rules
+    readers, r, full, sliced, _ = rules
     if not r:
         return full
+    value = [active >> x & 1 for x in range(full.bit_length())]
+    dirty = bytearray(len(sliced))
     while fresh:
-        before = active
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            for count, gain in watch[low.bit_length() - 1]:
-                if gain & ~active and (count & active).bit_count() >= r:
-                    active |= gain
-        fresh = active & ~before
-    return active
+        low = fresh & -fresh
+        fresh ^= low
+        for k in readers[low.bit_length() - 1]:
+            dirty[k] = 1
+    _fixpoint(rules, value, 1, dirty)
+    return sum(v << x for x, v in enumerate(value))
 
 
 def _bound(rules: _Rules, suffix: list[int], state: int, j: int) -> bool:
@@ -265,7 +304,7 @@ def _leaf(
     number of combinations decided up to and including it (all of them,
     if none does), by one closure of every candidate at once: element x
     gets an int whose bit c says whether x is active in candidate c."""
-    _, r, full, sliced, tables = rules
+    _, _, full, sliced, tables = rules
     m = len(bits) - i
     count = comb(m, need)
     ones = (1 << count) - 1
@@ -273,46 +312,7 @@ def _leaf(
     for bit, lanes in zip(bits[i:], _lanes(tables, len(bits), m, need)):
         if not state & bit:
             value[bit.bit_length() - 1] = lanes
-    dirty = bytearray([1]) * len(sliced)
-    while any(dirty):
-        for k, (counted, gain, wake) in enumerate(sliced):
-            if not dirty[k]:
-                continue
-            dirty[k] = 0
-            for x in gain:
-                if value[x] != ones:
-                    break
-            else:
-                continue  # every gain element is active in every lane
-            # fired: the lanes where at least r counted elements are active
-            counts = [value[x] for x in counted]
-            short = r - counts.count(ones)
-            if short <= 0:
-                fired = ones
-            else:
-                live = [v for v in counts if v and v != ones]
-                spare = len(live) - short
-                if spare < 0:
-                    continue
-                # carry chain: row[k] holds the lanes where more than j of
-                # live[:j + k + 1] are active; a lane that can no longer
-                # reach r is not followed
-                row = list(accumulate(live[: spare + 1], or_))
-                for j in range(1, short):
-                    row = list(accumulate(map(and_, row, live[j : j + spare + 1]), or_))
-                fired = row[-1]
-                if not fired:
-                    continue
-            grew = False
-            for x in gain:
-                v = value[x]
-                after = v | fired
-                if after != v:
-                    value[x] = after
-                    grew = True
-            if grew:
-                for w in wake:
-                    dirty[w] = 1
+    _fixpoint(rules, value, ones, bytearray([1]) * len(sliced))
     hit = ones
     for v in value:
         hit &= v
@@ -440,9 +440,9 @@ def min_percolating(
         max_engine_calls = DEFAULT_ENGINE_CALL_BUDGET
     if size > cap:
         raise ResourceLimitError(f"{size} {kind} exceed the search cap {cap}")
-    rules, flat = _rules(g, r, process)
+    rules = _rules(g, r, process)
     full = rules[2]
-    forced = _forced(flat, r, full)
+    forced = _forced(rules)
     free = [x for x in range(size) if not forced >> x & 1]
     bits = [1 << x for x in free]
     suffix = [0] * (len(free) + 1)

@@ -2,7 +2,6 @@ import concurrent.futures
 import importlib
 import json
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -11,7 +10,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bootperc
@@ -327,6 +326,42 @@ class TestTable:
         assert a.read_bytes() == b.read_bytes()
 
 
+@st.composite
+def fuzzed_command_lines(draw, tmp: Path):
+    """argv of one command from its ``COMMANDS`` rows: small values, tiny or
+    malformed graphs, seed files and ``--out`` targets under ``tmp``."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command]
+    for flag, kind, required, _, _ in COMMANDS[command][2]:
+        if not draw(st.sampled_from([True] * 19 + [False]) if required else st.booleans()):
+            continue  # a required argument is left out now and then: a usage error
+        if flag == "graph":
+            value = draw(
+                st.integers(0, 5).map("Kn:{}".format)
+                | st.builds("Hamming:{},{}".format, st.integers(1, 3), st.integers(1, 3))
+                | st.integers(0, 4).map("LineK:{}".format)
+                | st.sampled_from(["Kn:", "Kn:x", "Kn:-2", "Kn:1,2", "Hamming:3", "Torus:3",
+                                   str(tmp / "missing-graph.txt")])
+            )
+        elif flag == "--seed":
+            value = str(tmp / draw(st.sampled_from(["v.seed", "e.seed", "empty.seed", "bad.seed",
+                                                    "missing.seed"])))
+        elif flag == "--out":
+            value = str(tmp / draw(st.sampled_from(["out.txt", ".", "missing/out.txt"])))
+        elif flag == "--generators":
+            value = draw(st.sampled_from(["2,3,5,7,11,13,17,19,23", "1/2,3", "x", "1/0", "-1,2"]))
+        elif kind is bool:
+            argv.append(flag)
+            continue
+        elif kind is int:
+            low, high = {"--rmax": (-1, 3), "--jobs": (0, 2)}.get(flag, (-1, 4))
+            value = str(draw(st.integers(low, high)))
+        else:
+            value = draw(st.sampled_from([*kind, *kind, "bogus"]))
+        argv += [flag, value] if flag.startswith("-") else [value]
+    return argv
+
+
 class TestExitCodes:
     def test_precondition_rejection_is_exit_1(self, capsys):
         rc = main(["construct", "--family", "star", "--n", "2", "--r", "5"])
@@ -405,14 +440,29 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_command_lines_exit_0_1_or_2(self, data, tmp_path, capsys, monkeypatch):
+        # a table at --jobs 2 runs its rows in this process, not in a pool of workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        for name, text in [("v.seed", "v 0\nv 1\n"), ("e.seed", "e 0 1\n"), ("empty.seed", ""),
+                           ("bad.seed", "x 1\n")]:
+            (tmp_path / name).write_text(text)
+        argv = data.draw(fuzzed_command_lines(tmp_path))
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert set(json.loads(err.splitlines()[-1])) == {"error", "reason"}
+
 
 class TestParserOfOneCommand:
-    """``main`` builds only the named subcommand's parser, and prints what the full one prints."""
-
-    def printed(self, parser, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        return exc.value.code, capsys.readouterr()
+    """One argparse parser serves every command: ``main`` prints what it prints."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -426,18 +476,16 @@ class TestParserOfOneCommand:
         ids=lambda argv: " ".join(argv),
     )
     def test_prints_what_the_full_parser_prints(self, argv, capsys):
-        one = self.printed(build_parser(argv[0]), argv, capsys)
-        assert one == self.printed(build_parser(), argv, capsys)
+        printed = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
 
     def test_usage_names_every_command(self):
         usage = "usage: bootperc [-h] {simulate,construct,verify,table,dimw,search} ...\n"
-        for command in (None, "-h", "bogus", *COMMANDS):
-            assert build_parser(command).format_usage() == usage
-
-    def test_other_commands_are_not_built(self, capsys):
-        code, printed = self.printed(build_parser("verify"), ["dimw", "Kn:4", "--r", "3"], capsys)
-        assert code == 2
-        assert re.search(r"invalid choice: 'dimw' \(choose from '?verify'?\)$", printed.err)
+        assert build_parser().format_usage() == usage
 
 
 # values of every type, some that argparse reads another way and some it refuses
@@ -686,12 +734,15 @@ class TestRejectedInput:
             ["construct", "--family", "a", "--n", "2", "--r", "1", "--d", "40"],
             ["table", "--d", "40", "--rmax", "1"],
             ["verify", "--family", "a", "--n", "1", "--r", "0", "--d", "2000"],
+            ["table", "--d", "40", "--rmax", "100000000"],
+            ["table", "--d", "2", "--rmax", "100000000"],
         ],
-        ids=["construct", "table", "verify-one-vertex"],
+        ids=["construct", "table", "verify-one-vertex", "table-d40-rmax1e8", "table-d2-rmax1e8"],
     )
     def test_corner_masks_are_counted_before_enumerating(self, argv):
         # 2^39 or 2^1999 masks would exhaust memory, so run in a child with capped memory;
-        # [0,1)^2000 is one vertex, so the verify case passes the packed guard
+        # [0,1)^2000 is one vertex, so the verify case passes the packed guard; a table
+        # checks every row, here up to r = 2235 for d = 2, before it lists any of 10^8 rows
         run, elapsed = run_with_capped_memory(argv)
         assert (run.returncode, run.stdout) == (1, "")
         assert json.loads(run.stderr)["error"] == "ResourceLimitError"

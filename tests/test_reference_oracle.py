@@ -114,7 +114,7 @@ def _graph_seed(draw):
 @given(_graph_seed())
 def test_closure_is_the_engines_final_set(case):
     g, process, r, seed = case
-    rules, _ = oracle._rules(g, r, process)
+    rules = oracle._rules(g, r, process)
     mask = oracle._mask(seed)
     closed = oracle._close(rules, mask, mask)
     if process != "vertex":
@@ -124,3 +124,39 @@ def test_closure_is_the_engines_final_set(case):
         final = {g.edge_id(u, v) for u, v in final}
     assert closed == oracle._mask(final)
     assert (closed == rules[2]) == is_percolating(g, r, process, seed)
+
+
+def _engine_final(g, r, process, ids) -> int:
+    """The mask of the engine's final set from the element ids ``ids``."""
+    seed = [(g.tails[e], g.heads[e]) for e in ids] if process != "vertex" else ids
+    final = percolate(g, r, process, seed).final
+    if process != "vertex":
+        final = {g.edge_id(u, v) for u, v in final}
+    return oracle._mask(final)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_seed(), st.data())
+def test_closure_grows_a_closed_set(case, data):
+    # the walk's and the bound's call: a closed set plus elements, only those fresh
+    g, process, r, seed = case
+    rules = oracle._rules(g, r, process)
+    b = oracle._mask(seed) | data.draw(st.integers(0, rules[2]))
+    ids = [x for x in range(rules[2].bit_length()) if b >> x & 1]
+    final = _engine_final(g, r, process, ids)
+    for j in range(len(ids) + 1):
+        a = oracle._mask(ids[:j])
+        closed = oracle._close(rules, a, a)
+        assert oracle._close(rules, closed | b, b & ~closed) == final, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_seed())
+def test_forced_elements_are_those_no_closure_adds(case):
+    g, process, r, _ = case
+    rules = oracle._rules(g, r, process)
+    forced = oracle._forced(rules)
+    size = rules[2].bit_length()
+    for x in range(size):
+        others = [y for y in range(size) if y != x]
+        assert (forced >> x & 1) == (not _engine_final(g, r, process, others) >> x & 1), x
