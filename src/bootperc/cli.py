@@ -221,15 +221,24 @@ def _decimal(x: Fraction) -> str:
     return str(float(x))
 
 
+# A table starts its pool only when its rows enumerate more corner points
+# than this.  On 2 cores, in fresh interpreters, --jobs 2 took 1.3 to 2.1
+# times as long as --jobs 1 up to about 120,000 points (d = 2 to 5), about
+# as long from 140,000 to 420,000, and 0.5 to 0.8 times as long past
+# 680,000 (d = 2 to 4).
+_TABLE_POOL_FROM = 1 << 18
+
+
 def _table_rows(d: int, rmax: int, n: int | None, jobs: int) -> list[list]:
     # each row's corner checks first, in row order: both fail from some
     # r <= 2235 on, so a refused table builds no row and starts no pool
     payloads = []
+    points = 0
     for r in range(1, rmax + 1):
         row_n = n if n is not None else r + 1
-        constructions._check_corner_args(row_n, r, d)
+        points += constructions._check_corner_args(row_n, r, d)
         payloads.append((d, r, row_n))
-    if jobs > 1:
+    if jobs > 1 and points > _TABLE_POOL_FROM:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
 
         workers = min(jobs, os.cpu_count() or 1, len(payloads))

@@ -81,7 +81,8 @@ def _too_many_edges(what: str, size: object) -> ResourceLimitError:
     return ResourceLimitError(f"{what} would have {size} edges (cap {_SEED_CAP} edges)")
 
 
-def _check_corner_args(n: int, r: int, d: int) -> None:
+def _check_corner_args(n: int, r: int, d: int) -> int:
+    """The corner points the construction enumerates, or the error it refuses with."""
     check_threshold(r)
     if d < 2:
         raise PreconditionError("corner constructions need d >= 2")
@@ -92,12 +93,14 @@ def _check_corner_args(n: int, r: int, d: int) -> None:
     # Counted before anything is enumerated; 2^(d-1) and the binomial are
     # computed only when 2^(d-1) can be under the cap.
     s = -(-r // 2)
-    few_masks = d <= _SEED_CAP.bit_length()
-    if not few_masks or 2 ** (d - 1) * max(1, comb(s - 1 + d, d)) > _SEED_CAP:
-        raise ResourceLimitError(
-            f"corner construction would enumerate 2^{d - 1} corner masks times "
-            f"C({s - 1 + d},{d}) region points (cap {_SEED_CAP} points)"
-        )
+    if d <= _SEED_CAP.bit_length():
+        points = 2 ** (d - 1) * max(1, comb(s - 1 + d, d))
+        if points <= _SEED_CAP:
+            return points
+    raise ResourceLimitError(
+        f"corner construction would enumerate 2^{d - 1} corner masks times "
+        f"C({s - 1 + d},{d}) region points (cap {_SEED_CAP} points)"
+    )
 
 
 def _simplex_points(n: int, r: int, d: int) -> list[Point]:

@@ -77,7 +77,11 @@ they start; the walk goes on while they work, at most ``_WINDOW``
 leaves ahead of the one read next.  The results are read in walk order
 and the count stops at the first witness, so both paths sum the same
 items, and the witness and ``engine_calls`` do not depend on ``jobs``.
-The leaves still pending then are cancelled.
+The leaves no worker has taken yet are then cancelled.  Those a worker
+has already taken run to their end, so with ``jobs > 1`` up to
+``_WINDOW - 1`` leaves past the witness may still be decided: that costs
+time, but their results are never read, and the witness and
+``engine_calls`` do not change.
 
 The pool is started only at the first level with more candidates than
 ``_POOL_FROM``, the number in ``_WINDOW`` full lane leaves, and then

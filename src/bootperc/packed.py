@@ -10,7 +10,10 @@ counter field per vertex, all in one int, updated a round at a time by
 summing the frontier along each axis, with shifted copies or, on the
 stride-1 axis while n is small, one multiplication (see :class:`_Packed`);
 it stops once every vertex is active.  The star process is the vertex
-closure on the saturated vertices.  The line process, on K_n only, keeps
+closure on the saturated vertices.  One routine, :meth:`_Packed.tally`,
+writes every int of counts from a list of vertices: the vertex seed, the
+star's seed degrees (each seed edge tallied at both ends), its seed ends
+and each round's corrections.  The line process, on K_n only, keeps
 one bitmask row per vertex.  Both edge processes read the seed in one
 pass into its one copy, a list of seed neighbours per vertex.  Their
 rounds are the CSR kernel's, and :func:`check_packed` bounds their memory
@@ -23,7 +26,7 @@ so a malformed seed element gets the same message from either kernel.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from bootperc.errors import PROCESSES, PreconditionError, ResourceLimitError, check_process
@@ -162,18 +165,6 @@ class _Packed:
             buf[i] += 1
         return int.from_bytes(buf, "little")
 
-    def fields(self, values: Iterable[tuple[int, int]]) -> int:
-        """The int whose field x holds k for each (x, k) in ``values``, written a byte at a time."""
-        width = self.width
-        buf = bytearray(self.size * width)
-        for x, k in values:
-            i = x * width
-            while k:
-                buf[i] = k & 255
-                k >>= 8
-                i += 1
-        return int.from_bytes(buf, "little")
-
     def ids(self, vertices: int) -> Iterator[int]:
         """The members of a vertex set: the vertices whose field's low byte is nonzero."""
         low = vertices.to_bytes(self.size * self.width, "little")[:: self.width]
@@ -214,8 +205,9 @@ class _Packed:
         """
         if r > self.degree:
             return
-        high = self.one << self.top
-        count += self.one * ((1 << self.top) - r)  # a field's top bit: count >= r
+        # a field's top bit: count >= r; shifted down to the field's bit 0,
+        # where ``inactive`` drops the next field's low bits shifted in
+        count += self.one * ((1 << self.top) - r)
         inactive = self.one ^ active
         d = self.d
         while inactive:
@@ -223,7 +215,7 @@ class _Packed:
                 count += self.line_sums(frontier) - d * frontier
                 if correct is not None and (fix := correct(frontier)):
                     count -= fix
-            new = (count & high) >> self.top & inactive
+            new = count >> self.top & inactive
             if not new:
                 return
             inactive ^= new
@@ -278,7 +270,7 @@ def _star_rounds(p: _Packed, r: int, others: dict[int, list[int]]) -> Iterator[i
         hits = frontier & ends
         return hits and p.tally(x for y in p.ids(hits) for x in others[y])
 
-    degrees = p.fields((x, len(ys)) for x, ys in others.items())
+    degrees = p.tally(chain.from_iterable(others.values()))  # each seed edge at both ends
     return p.rounds(r, degrees, 0, 0, correct)
 
 

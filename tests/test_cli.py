@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bootperc
-from bootperc import oracle
+from bootperc import cli, oracle
 from bootperc.cli import COMMANDS, _json, _parse_strict, build_parser, load_graph, main
 from bootperc.errors import PreconditionError
 from bootperc.graphs import Graph, make_complete, make_hamming
@@ -309,7 +309,8 @@ class TestTable:
         main(["table", "--d", "3", "--rmax", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_match_sequential(self, tmp_path):
+    def test_jobs_match_sequential(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_TABLE_POOL_FROM", 0)  # a real pool, whatever the rows
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["table", "--d", "2", "--rmax", "5", "--out", str(a)])
         main(["table", "--d", "2", "--rmax", "5", "--jobs", "2", "--out", str(b)])
@@ -318,12 +319,37 @@ class TestTable:
     def test_jobs_pool_is_capped(self, tmp_path, monkeypatch):
         RecordingExecutor.reset()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli, "_TABLE_POOL_FROM", 0)  # every table at --jobs > 1 has a pool
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["table", "--d", "2", "--rmax", "5", "--out", str(a)])
         main(["table", "--d", "2", "--rmax", "5", "--jobs", "100000", "--out", str(b)])
         assert RecordingExecutor.created == [min(os.cpu_count() or 1, 5)]
         assert RecordingExecutor.tasks == [5]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_small_table_starts_no_pool(self, capsys, monkeypatch):
+        # 120 corner points: far fewer than pay for a pool
+        RecordingExecutor.reset()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        assert main(["table", "--d", "3", "--rmax", "6"]) == 0
+        sequential = capsys.readouterr().out
+        assert main(["table", "--d", "3", "--rmax", "6", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == sequential
+        assert RecordingExecutor.created == []
+
+    def test_large_table_starts_a_capped_pool(self, monkeypatch):
+        # --d 3 --rmax 120 counts 4,765,320 corner points; its rows are
+        # stood in for by their payloads, so none is built
+        RecordingExecutor.reset()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli, "_table_row", list)
+        want = [[3, r, r + 1] for r in range(1, 121)]
+        for jobs in (1, 2, 100000):
+            RecordingExecutor.reset()
+            assert cli._table_rows(3, 120, None, jobs) == want
+            pooled = jobs > 1
+            assert RecordingExecutor.created == [min(jobs, os.cpu_count() or 1, 120)] * pooled
+            assert RecordingExecutor.tasks == [120] * pooled
 
 
 @st.composite

@@ -265,6 +265,13 @@ class TestCornerGuard:
         with pytest.raises(PreconditionError):
             simplex_corner_set(2, 2, 2000)
 
+    def test_counts_the_points_it_admits(self):
+        # the simplex region's points, each reflected to the 2^(d-1) corners
+        for d in (2, 3, 5):
+            for r in range(1, 9):
+                points = 2 ** (d - 1) * len(simplex_region(r + 1, r, d))
+                assert _check_corner_args(r + 1, r, d) == points
+
     def test_admits_every_table_row_up_to_r30_at_d6(self):
         # r = 29 and 30 count 2^5 * C(20, 6) = 1240320 points, under the cap
         for r in range(1, 31):

@@ -169,17 +169,32 @@ def test_repunit_cut():
 
 @pytest.mark.parametrize("n,d,width", [(3, 2, 1), (5, 3, 1), (127, 1, 1), (130, 1, 2)])
 def test_seed_degrees_are_the_tally_of_the_seed_ends(n, d, width):
-    # the star bias writes each vertex's seed degree into its field: the same
-    # int as the tally of every seed end; K_127 fills one-byte fields up to
-    # its degree 126, and K_130's degree 129 takes two-byte fields
-    space = HammingSpace(n, d)
-    p = _Packed(space)
-    assert p.width == width
+    # the star bias is the tally of every seed edge at both ends, so each
+    # field holds its vertex's seed degree; K_127 fills one-byte fields up
+    # to its degree 126, and K_130's degree 129 takes two-byte fields
+    assert _Packed(HammingSpace(n, d)).width == width
     rng = random.Random(n + d)
+    degree = d * (n - 1)
     for density in (0, 0.05, 0.5, 1):
-        others = _seed_neighbours(space, 1, random_seed(rng, "star", graph(n, d), density))
-        degrees = p.fields((x, len(ys)) for x, ys in others.items())
-        assert degrees == p.tally(chain.from_iterable(others.values()))
+        seed = random_seed(rng, "star", graph(n, d), density)
+        for r in (2, degree // 2, degree):
+            assert_same(n, d, r, "star", seed)
+
+
+@pytest.mark.parametrize("n,width", [(127, 1), (130, 2)])
+def test_rounds_read_each_fields_top_bit_alone(n, width):
+    # A count of r-1, biased by 2^top - r, sets every bit of its field but
+    # the top one.  Shifted down by top, those bits land above bit 0 of
+    # the field below, where the inactive mask drops them.
+    p = _Packed(HammingSpace(n, 1))
+    assert p.width == width
+    for r in (1, 2, p.degree):
+        counts = [(r - 1, r - 1, r, p.degree)[x % 4] for x in range(n)]
+        active = set(range(0, n, 7))
+        count = sum(k << 8 * width * x for x, k in enumerate(counts))
+        new = next(p.rounds(r, count, p.tally(active), 0))
+        assert new & ~p.one == 0  # every field 0 or 1
+        assert set(p.ids(new)) == {x for x, k in enumerate(counts) if k >= r} - active
 
 
 # both sides of the repunit cut, and n = 2, whose lines are single steps

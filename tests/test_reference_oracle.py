@@ -9,7 +9,7 @@ import concurrent.futures
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_oracle as ref
@@ -100,18 +100,40 @@ def test_budget_refusals_match_reference(budget):
 
 @st.composite
 def _graph_seed(draw):
-    n = draw(st.integers(0, 7))
+    # r >= 1 and a seed of at least one element, on a graph with at least
+    # one edge, so every example has a closure to compute; r = 0, the
+    # empty seed and graphs of no edge are the explicit examples below
+    n = draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [p for p in pairs if draw(st.booleans())]
+    edges = [p for p in pairs if draw(st.booleans())] or [draw(st.sampled_from(pairs))]
     g = Graph.from_edges(n, edges)
     process = draw(st.sampled_from(["line", "star", "vertex"]))
     size = g.vertex_count if process == "vertex" else g.edge_count
-    seed = draw(st.sets(st.integers(0, size - 1), max_size=size)) if size else set()
-    return g, process, draw(st.integers(0, 5)), seed
+    seed = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size))
+    return g, process, draw(st.integers(1, 5)), seed
+
+
+_PATH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+_EDGE_CASES = [
+    (Graph.from_edges(0, []), "vertex", 1, set()),
+    (Graph.from_edges(1, []), "vertex", 1, set()),
+    (Graph.from_edges(3, []), "star", 2, set()),
+    (_PATH, "vertex", 0, set()),
+    (_PATH, "line", 0, {1}),
+    (_PATH, "star", 1, set()),
+    (_PATH, "vertex", 2, set()),
+]
+
+
+def _with_edge_cases(test):
+    for case in _EDGE_CASES:
+        test = example(case)(test)
+    return test
 
 
 @settings(max_examples=300, deadline=None)
 @given(_graph_seed())
+@_with_edge_cases
 def test_closure_is_the_engines_final_set(case):
     g, process, r, seed = case
     rules = oracle._rules(g, r, process)
@@ -152,6 +174,7 @@ def test_closure_grows_a_closed_set(case, data):
 
 @settings(max_examples=300, deadline=None)
 @given(_graph_seed())
+@_with_edge_cases
 def test_forced_elements_are_those_no_closure_adds(case):
     g, process, r, _ = case
     rules = oracle._rules(g, r, process)
